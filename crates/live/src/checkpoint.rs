@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 use airguard_core::DetectorState;
 use airguard_obs::fnv1a_hex;
 
-use crate::json::JsonValue;
+use crate::json::{parse_f64_array, scan_fields, Field, JsonValue};
 
 /// First line of every checkpoint file.
 pub const HEADER: &str = "airguard.live.checkpoint.v1";
@@ -116,60 +116,85 @@ fn station_line(record: &StationRecord) -> String {
     line
 }
 
-fn parse_station_line(value: &JsonValue) -> Result<StationRecord, String> {
-    let station = value
-        .get("station")
-        .and_then(JsonValue::as_u64)
+/// The fields of a station line. Each holds the last occurrence of its
+/// key, as a parsed tree would.
+#[derive(Debug, Default)]
+struct StationFields<'a> {
+    station: Option<Field<'a>>,
+    kind: Option<Field<'a>>,
+    diffs: Option<Field<'a>>,
+    score: Option<Field<'a>>,
+    assigned_sum: Option<Field<'a>>,
+    observed_sum: Option<Field<'a>>,
+    samples: Option<Field<'a>>,
+    observations: Option<Field<'a>>,
+    flagged: Option<Field<'a>>,
+}
+
+fn f64_field(field: Option<&Field<'_>>, missing: &'static str) -> Result<f64, &'static str> {
+    field.and_then(Field::as_f64).ok_or(missing)
+}
+
+fn u64_field(field: Option<&Field<'_>>, missing: &'static str) -> Result<u64, &'static str> {
+    field.and_then(Field::as_u64).ok_or(missing)
+}
+
+fn parse_station_line(line: &str) -> Result<StationRecord, String> {
+    let mut fields = StationFields::default();
+    scan_fields(line, |key, value| {
+        let slot = match key {
+            "station" => &mut fields.station,
+            "kind" => &mut fields.kind,
+            "diffs" => &mut fields.diffs,
+            "score" => &mut fields.score,
+            "assigned_sum" => &mut fields.assigned_sum,
+            "observed_sum" => &mut fields.observed_sum,
+            "samples" => &mut fields.samples,
+            "observations" => &mut fields.observations,
+            "flagged" => &mut fields.flagged,
+            _ => return,
+        };
+        *slot = Some(value);
+    })?;
+    let station = fields
+        .station
+        .as_ref()
+        .and_then(Field::as_u64)
         .and_then(|v| u32::try_from(v).ok())
         .ok_or("missing or out-of-range `station`")?;
-    let kind = value
-        .get("kind")
-        .and_then(JsonValue::as_str)
+    let kind = fields
+        .kind
+        .as_ref()
+        .and_then(Field::as_str)
         .ok_or("missing `kind`")?;
     let state = match kind {
-        "window" => {
-            let diffs = value
-                .get("diffs")
-                .and_then(JsonValue::as_arr)
-                .ok_or("missing `diffs`")?
-                .iter()
-                .map(|v| v.as_f64().ok_or("non-finite window diff"))
-                .collect::<Result<Vec<f64>, _>>()?;
-            DetectorState::Window { diffs }
-        }
+        "window" => match fields.diffs {
+            Some(Field::Nested(text)) => DetectorState::Window {
+                diffs: parse_f64_array(text).map_err(|e| format!("`diffs`: {e}"))?,
+            },
+            _ => return Err("missing `diffs`".to_owned()),
+        },
         "cusum" => DetectorState::Cusum {
-            score: value
-                .get("score")
-                .and_then(JsonValue::as_f64)
-                .ok_or("missing or non-finite `score`")?,
+            score: f64_field(fields.score.as_ref(), "missing or non-finite `score`")?,
         },
         "cw" => DetectorState::Cw {
-            assigned_sum: value
-                .get("assigned_sum")
-                .and_then(JsonValue::as_f64)
-                .ok_or("missing or non-finite `assigned_sum`")?,
-            observed_sum: value
-                .get("observed_sum")
-                .and_then(JsonValue::as_f64)
-                .ok_or("missing or non-finite `observed_sum`")?,
-            samples: value
-                .get("samples")
-                .and_then(JsonValue::as_u64)
-                .ok_or("missing `samples`")?,
+            assigned_sum: f64_field(
+                fields.assigned_sum.as_ref(),
+                "missing or non-finite `assigned_sum`",
+            )?,
+            observed_sum: f64_field(
+                fields.observed_sum.as_ref(),
+                "missing or non-finite `observed_sum`",
+            )?,
+            samples: u64_field(fields.samples.as_ref(), "missing `samples`")?,
         },
         other => return Err(format!("unknown detector kind `{other}`")),
     };
     Ok(StationRecord {
         station,
         state,
-        observations: value
-            .get("observations")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing `observations`")?,
-        flagged: value
-            .get("flagged")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing `flagged`")?,
+        observations: u64_field(fields.observations.as_ref(), "missing `observations`")?,
+        flagged: u64_field(fields.flagged.as_ref(), "missing `flagged`")?,
     })
 }
 
@@ -259,10 +284,8 @@ impl Checkpoint {
         let mut stations = Vec::with_capacity(station_lines.len());
         let mut last_station: Option<u32> = None;
         for (i, line) in station_lines.iter().enumerate() {
-            let value =
-                JsonValue::parse(line).map_err(|e| format!("station line {}: {e}", i + 1))?;
             let record =
-                parse_station_line(&value).map_err(|e| format!("station line {}: {e}", i + 1))?;
+                parse_station_line(line).map_err(|e| format!("station line {}: {e}", i + 1))?;
             if last_station.is_some_and(|prev| prev >= record.station) {
                 return Err("station lines out of order".to_owned());
             }
@@ -441,6 +464,31 @@ mod tests {
         let (loaded, warnings) = Checkpoint::load_latest(&dir);
         assert!(loaded.is_none());
         assert!(warnings.is_empty());
+    }
+
+    #[test]
+    fn station_lines_follow_the_scan_rules() {
+        let ok = super::parse_station_line(
+            r#"{"station":7,"kind":"window","diffs":[4, -1.5],"extra":{"a":[1]},"observations":1,"observations":38,"flagged":1}"#,
+        )
+        .expect("valid station line");
+        assert_eq!(ok.observations, 38, "a repeated key keeps its last value");
+        assert_eq!(
+            ok.state,
+            DetectorState::Window {
+                diffs: vec![4.0, -1.5]
+            }
+        );
+        for bad in [
+            r#"{"station":7,"kind":"window","diffs":[4,"x"],"observations":1,"flagged":0}"#,
+            r#"{"station":7,"kind":"window","diffs":{},"observations":1,"flagged":0}"#,
+            r#"{"station":7,"kind":"window","observations":1,"flagged":0}"#,
+            r#"{"station":7,"kind":"cusum","score":1,"observations":1.5,"flagged":0}"#,
+            r#"{"station":4294967296,"kind":"cusum","score":1,"observations":1,"flagged":0}"#,
+            r#"{"station":7,"kind":"cusum","score":1,"observations":1,"flagged":0} x"#,
+        ] {
+            assert!(super::parse_station_line(bad).is_err(), "accepted: {bad}");
+        }
     }
 
     #[test]

@@ -444,7 +444,7 @@ impl Feeder<'_> {
     /// window passes with zero consumer heartbeats.
     fn send_watched(&mut self, shard: usize, obs: StationObservation, stamp: Option<Instant>) {
         loop {
-            let Some(sender) = self.senders[shard].clone() else {
+            let Some(sender) = &self.senders[shard] else {
                 self.shed(u32::try_from(shard).unwrap_or(u32::MAX), obs.station);
                 return;
             };
@@ -475,7 +475,7 @@ impl Feeder<'_> {
         let shard_u32 = u32::try_from(shard).unwrap_or(u32::MAX);
         self.now_us = self.now_us.max(obs.t_us);
         let stamp = self.config.measure_latency.then(Instant::now);
-        let Some(sender) = self.senders[shard].clone() else {
+        let Some(sender) = &self.senders[shard] else {
             self.shed(shard_u32, obs.station);
             return;
         };
@@ -504,12 +504,12 @@ impl Feeder<'_> {
                     if !self.sample_seq[shard].is_multiple_of(u64::from(stride)) {
                         self.sampled_out += 1;
                         self.shed(shard_u32, obs.station);
-                        self.maybe_recover(shard, &sender);
+                        self.maybe_recover(shard);
                         return;
                     }
                 }
                 match sender.try_send(Msg::Obs(obs, stamp)) {
-                    Ok(()) => self.maybe_recover(shard, &sender),
+                    Ok(()) => self.maybe_recover(shard),
                     Err(SendError::Full) => {
                         let doubled = (stride * 2).clamp(2, 64);
                         self.sample_every[shard] = doubled;
@@ -536,9 +536,13 @@ impl Feeder<'_> {
 
     /// Halves the sampling stride once the shard queue has drained to a
     /// quarter of capacity; stride 1 means fully recovered.
-    fn maybe_recover(&mut self, shard: usize, sender: &Sender<Msg>) {
+    fn maybe_recover(&mut self, shard: usize) {
         let stride = self.sample_every[shard];
-        if stride > 1 && sender.len() * 4 <= self.config.queue_capacity.max(1) {
+        if stride > 1
+            && self.senders[shard]
+                .as_ref()
+                .is_some_and(|sender| sender.len() * 4 <= self.config.queue_capacity.max(1))
+        {
             let halved = (stride / 2).max(1);
             self.sample_every[shard] = halved;
             self.config.sink.emit(
@@ -561,7 +565,7 @@ impl Feeder<'_> {
         let (reply_tx, reply_rx) = bounded::<ShardSnapshot>(shards.max(1));
         let mut expected = 0usize;
         for shard in 0..shards {
-            let Some(sender) = self.senders[shard].clone() else {
+            let Some(sender) = &self.senders[shard] else {
                 continue;
             };
             match sender.send(Msg::Snapshot(reply_tx.clone())) {

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use airguard_core::{ObservationSource, SourceError, StationObservation};
 use airguard_obs::{EventSink, ObsEvent, NO_NODE};
 
-use crate::json::JsonValue;
+use crate::json::{scan_fields, Field};
 
 /// Slot counts beyond this are treated as corruption: the modified
 /// protocol caps assignments at `max_assignment` (1023 by default), so
@@ -32,54 +32,87 @@ pub const MAX_SLOTS: f64 = 1_000_000.0;
 /// record is a single JSON line, far below this bound.
 pub const MAX_FRAME: usize = 65_536;
 
-/// Interprets one parsed feed record. `Ok(None)` means the line is
-/// well-formed telemetry of some other kind (skipped, not quarantined).
-fn observation_from_record(value: &JsonValue) -> Result<Option<StationObservation>, String> {
-    let is_backoff = value.get("cat").and_then(JsonValue::as_str) == Some("monitor")
-        && value.get("event").and_then(JsonValue::as_str) == Some("backoff_assigned");
-    if !is_backoff {
-        return Ok(None);
-    }
-    let t_us = value
-        .get("t_us")
-        .and_then(JsonValue::as_u64)
-        .ok_or("missing or out-of-range `t_us`")?;
-    let station = value
-        .get("src")
-        .and_then(JsonValue::as_u64)
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or("missing or out-of-range `src`")?;
-    let assigned_slots = value
-        .get("assigned_slots")
-        .and_then(JsonValue::as_f64)
-        .ok_or("missing or non-finite `assigned_slots`")?;
-    let observed_slots = value
-        .get("observed_slots")
-        .and_then(JsonValue::as_f64)
-        .ok_or("missing or non-finite `observed_slots`")?;
-    if !(0.0..=MAX_SLOTS).contains(&assigned_slots) || !(0.0..=MAX_SLOTS).contains(&observed_slots)
-    {
-        return Err("slot count outside [0, 1e6]".into());
-    }
-    Ok(Some(StationObservation {
-        t_us,
-        station,
-        assigned_slots,
-        observed_slots,
-    }))
+/// The fields of a feed record the decoder reads. Each holds the last
+/// occurrence of its key, as a parsed tree would.
+#[derive(Debug, Default)]
+struct FeedRecord<'a> {
+    cat: Option<Field<'a>>,
+    event: Option<Field<'a>>,
+    t_us: Option<Field<'a>>,
+    src: Option<Field<'a>>,
+    assigned_slots: Option<Field<'a>>,
+    observed_slots: Option<Field<'a>>,
 }
 
-/// Decodes one JSONL line (without trailing newline) into an
-/// observation, a skip, or a malformed-record error.
-fn decode_line(bytes: &[u8]) -> Result<Option<StationObservation>, SourceError> {
+impl FeedRecord<'_> {
+    /// Interprets the record. `Ok(None)` means the line is well-formed
+    /// telemetry of some other kind (skipped, not quarantined).
+    fn observation(&self) -> Result<Option<StationObservation>, String> {
+        let is_backoff = self.cat.as_ref().and_then(Field::as_str) == Some("monitor")
+            && self.event.as_ref().and_then(Field::as_str) == Some("backoff_assigned");
+        if !is_backoff {
+            return Ok(None);
+        }
+        let t_us = self
+            .t_us
+            .as_ref()
+            .and_then(Field::as_u64)
+            .ok_or("missing or out-of-range `t_us`")?;
+        let station = self
+            .src
+            .as_ref()
+            .and_then(Field::as_u64)
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or("missing or out-of-range `src`")?;
+        let assigned_slots = self
+            .assigned_slots
+            .as_ref()
+            .and_then(Field::as_f64)
+            .ok_or("missing or non-finite `assigned_slots`")?;
+        let observed_slots = self
+            .observed_slots
+            .as_ref()
+            .and_then(Field::as_f64)
+            .ok_or("missing or non-finite `observed_slots`")?;
+        if !(0.0..=MAX_SLOTS).contains(&assigned_slots)
+            || !(0.0..=MAX_SLOTS).contains(&observed_slots)
+        {
+            return Err("slot count outside [0, 1e6]".into());
+        }
+        Ok(Some(StationObservation {
+            t_us,
+            station,
+            assigned_slots,
+            observed_slots,
+        }))
+    }
+}
+
+/// Decodes one JSONL line (with or without its trailing newline) into
+/// an observation, a skip (blank line or other telemetry), or a
+/// malformed-record error. One scan of the line's bytes: the fields
+/// are read in place, no tree is built.
+pub fn decode_line(bytes: &[u8]) -> Result<Option<StationObservation>, SourceError> {
     let text = std::str::from_utf8(bytes)
         .map_err(|_| SourceError::Malformed("non-UTF-8 feed line".into()))?;
     if text.trim().is_empty() {
         return Ok(None);
     }
-    let value = JsonValue::parse(text.trim_end())
-        .map_err(|e| SourceError::Malformed(format!("malformed record: {e}")))?;
-    observation_from_record(&value).map_err(SourceError::Malformed)
+    let mut record = FeedRecord::default();
+    scan_fields(text.trim_end(), |key, value| {
+        let slot = match key {
+            "cat" => &mut record.cat,
+            "event" => &mut record.event,
+            "t_us" => &mut record.t_us,
+            "src" => &mut record.src,
+            "assigned_slots" => &mut record.assigned_slots,
+            "observed_slots" => &mut record.observed_slots,
+            _ => return,
+        };
+        *slot = Some(value);
+    })
+    .map_err(|e| SourceError::Malformed(format!("malformed record: {e}")))?;
+    record.observation().map_err(SourceError::Malformed)
 }
 
 /// Replays observations from a JSONL byte stream (file, socket, or any
