@@ -19,6 +19,7 @@ use std::time::Instant;
 
 use airguard_core::DetectorConfig;
 use airguard_exp::{run_experiment, write_report_jsonl, Experiment, ResultCache, RunOptions};
+use airguard_live::cli::parse_positive;
 use airguard_net::{Protocol, ScenarioConfig, StandardScenario};
 use airguard_obs::{records_to_chrome_trace, PhaseProfiler};
 
@@ -129,18 +130,6 @@ pub struct Cli {
     /// Write a Chrome trace-event JSON of one observed run to this
     /// path.
     pub trace_out: Option<String>,
-}
-
-/// Parses a positive integer, rejecting junk and zero with a clear
-/// message naming the source (`--seeds`, `AIRGUARD_SECS`, …).
-fn parse_positive(source: &str, value: &str) -> Result<u64, String> {
-    match value.trim().parse::<u64>() {
-        Ok(0) => Err(format!("{source}: expected a positive integer, got 0")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "{source}: expected a positive integer, got {value:?}"
-        )),
-    }
 }
 
 /// Parses a non-negative integer (zero allowed), rejecting junk with a

@@ -27,7 +27,6 @@
 //! threaded through `CorrectPolicy` into each [`crate::Monitor`].
 
 use airguard_mac::BackoffObservation;
-use serde::{Deserialize, Serialize};
 
 use crate::diagnosis::{DiagnosisConfig, DiagnosisWindow};
 
@@ -129,7 +128,7 @@ impl DetectorState {
 }
 
 /// Parameters of the [`SequentialDetector`] (CUSUM).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SequentialConfig {
     /// Per-packet drift subtracted from the score: the expected
     /// deviation under honest behavior plus a noise allowance, so the
@@ -169,7 +168,7 @@ impl Default for SequentialConfig {
 }
 
 /// Parameters of the [`CwEstimationDetector`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CwEstimationConfig {
     /// Observations required before the estimate is trusted; below
     /// this the detector never flags.
@@ -213,7 +212,7 @@ impl Default for CwEstimationConfig {
 }
 
 /// Which detector a scenario's monitors run, with its parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DetectorConfig {
     /// The paper's window diagnosis (parameters live in
     /// [`DiagnosisConfig`], as before the trait existed).

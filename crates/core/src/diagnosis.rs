@@ -10,10 +10,8 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 /// Diagnosis parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiagnosisConfig {
     /// Window size `W` in packets. The paper uses 5.
     pub window: usize,

@@ -28,7 +28,6 @@ use airguard_mac::policy::uniform_backoff;
 use airguard_mac::{BackoffObservation, MacTiming, PacketVerdict, Slots};
 use airguard_sim::{NodeId, RngStream};
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use crate::correction::CorrectionConfig;
 use crate::detector::{DetectorConfig, DetectorState, DeviationDetector};
@@ -36,7 +35,7 @@ use crate::diagnosis::DiagnosisConfig;
 use crate::receiver_check::g_value;
 
 /// How the monitor draws the base (pre-penalty) part of each assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AssignmentSource {
     /// Uniformly random from `[0, CWmin]` — the paper's main scheme.
     #[default]
@@ -51,7 +50,7 @@ pub enum AssignmentSource {
 /// senders it does not currently flag, and raises the effective
 /// threshold to `factor · W · ema` when channel noise exceeds the static
 /// setting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// Multiplier on the noise-scaled threshold.
     pub factor: f64,
@@ -70,7 +69,7 @@ impl Default for AdaptiveConfig {
 
 /// Monitor configuration: the correction and diagnosis parameters plus
 /// the optional extensions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// Deviation/penalty parameters (α, extra penalty).
     pub correction: CorrectionConfig,
@@ -141,7 +140,7 @@ impl SenderRecord {
 }
 
 /// Accumulated per-sender statistics, exported at end of run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SenderStats {
     /// The sender these statistics describe.
     pub node: NodeId,
@@ -183,7 +182,7 @@ impl SenderStats {
 }
 
 /// End-of-run snapshot of everything a monitor concluded.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MonitorReport {
     /// Per-sender statistics, sorted by node id.
     pub senders: Vec<SenderStats>,

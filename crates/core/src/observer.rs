@@ -25,13 +25,12 @@ use std::collections::BTreeMap;
 use airguard_mac::frames::{Frame, FrameKind};
 use airguard_mac::MacTiming;
 use airguard_sim::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::correction::CorrectionConfig;
 use crate::diagnosis::{DiagnosisConfig, DiagnosisWindow};
 
 /// Observer verdict about one (sender → receiver) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairStats {
     /// The observed sender.
     pub sender: NodeId,

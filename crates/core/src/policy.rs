@@ -17,7 +17,6 @@ use std::collections::BTreeMap;
 use airguard_mac::policy::uniform_backoff;
 use airguard_mac::{BackoffObservation, BackoffPolicy, MacTiming, PacketVerdict, Slots};
 use airguard_sim::{NodeId, RngStream};
-use serde::{Deserialize, Serialize};
 
 use crate::detector::DetectorConfig;
 use crate::monitor::{Monitor, MonitorConfig, MonitorReport};
@@ -27,7 +26,7 @@ use crate::receiver_check::ReceiverCheck;
 pub use crate::monitor::AssignmentSource;
 
 /// Configuration of the full modified protocol for one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorrectConfig {
     /// Receiver-side monitor parameters.
     pub monitor: MonitorConfig,

@@ -20,7 +20,6 @@
 
 use airguard_mac::MacTiming;
 use airguard_sim::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// The deterministic assignment base `g`, in `[0, CWmin]`.
 ///
@@ -46,7 +45,7 @@ pub fn g_value(receiver: NodeId, sender: NodeId, seq: u64, timing: &MacTiming) -
 }
 
 /// Sender-side verifier of receiver assignments.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReceiverCheck {
     violations: u64,
     checked: u64,

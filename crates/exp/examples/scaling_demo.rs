@@ -18,7 +18,7 @@
 
 use std::time::{Duration, Instant};
 
-use airguard_exp::run_tasks;
+use airguard_obs::pool::run_tasks;
 
 const POINTS: usize = 6;
 const SEEDS: usize = 5;
@@ -33,7 +33,9 @@ fn cell_duration(p: usize) -> Duration {
 fn chunked() -> Duration {
     let start = Instant::now();
     for p in 0..POINTS {
-        let results = run_tasks(SEEDS, WORKERS, |_seed| std::thread::sleep(cell_duration(p)));
+        let results = run_tasks((0..SEEDS).collect(), WORKERS, |_seed| {
+            std::thread::sleep(cell_duration(p));
+        });
         assert!(results.iter().all(Result::is_ok));
     }
     start.elapsed()
@@ -42,7 +44,7 @@ fn chunked() -> Duration {
 /// The engine's shape: every cell in one global queue.
 fn global_queue() -> Duration {
     let start = Instant::now();
-    let results = run_tasks(POINTS * SEEDS, WORKERS, |i| {
+    let results = run_tasks((0..POINTS * SEEDS).collect(), WORKERS, |i| {
         std::thread::sleep(cell_duration(i / SEEDS));
     });
     assert!(results.iter().all(Result::is_ok));

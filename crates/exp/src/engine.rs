@@ -1,8 +1,8 @@
 //! The engine: flattens an [`Experiment`]'s grid into one `(point,
 //! seed)` work queue, probes the result cache and sweep manifest, runs
-//! the misses on the work-stealing executor, stores fresh cells back,
-//! and re-assembles everything in deterministic point-major,
-//! seed-ordered layout.
+//! the misses on the workspace's worker pool ([`airguard_obs::pool`]),
+//! stores fresh cells back, and re-assembles everything in
+//! deterministic point-major, seed-ordered layout.
 //!
 //! Determinism argument (DESIGN.md §10): the queue order is fixed,
 //! every cell is keyed by its queue index, and collection sorts by
@@ -22,11 +22,11 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use airguard_net::{RunBudget, RunReport, ScenarioConfig};
+use airguard_obs::pool::{panic_message, run_tasks};
 use airguard_obs::{aggregate_summaries, PhaseProfiler, Progress, ProgressSnapshot, RunSummary};
 
 use crate::cache::ResultCache;
 use crate::cell::CellMetrics;
-use crate::executor::{panic_message, run_tasks};
 use crate::manifest::SweepManifest;
 use crate::sweep::{Experiment, ExperimentResult, PointResult, Rendered};
 
@@ -300,7 +300,7 @@ pub fn run_experiment_with(
     };
 
     // Cache/manifest probe: resolved cells keep their slot; misses go
-    // to the executor. Known-failed cells are re-reported, not re-run
+    // to the pool. Known-failed cells are re-reported, not re-run
     // (a permanently hung cell must not hang the resumed sweep).
     let mut outcomes: Vec<Option<Result<CellMetrics, String>>> = vec![None; tasks.len()];
     let mut miss_indices: Vec<usize> = Vec::new();
@@ -328,8 +328,8 @@ pub fn run_experiment_with(
     // Fresh cells are cached and journaled the moment they land, so a
     // killed sweep loses at most the cells still in flight.
     let store_warnings: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let fresh = run_tasks(miss_indices.len(), opts.effective_workers(), |k| {
-        let (p, seed) = tasks[miss_indices[k]];
+    let fresh = run_tasks(miss_indices.clone(), opts.effective_workers(), |i| {
+        let (p, seed) = tasks[i];
         let (result, attempts) = run_cell_with_retries(runner, &configs[p], seed, opts.retries);
         match &result {
             Ok(cell) => {
@@ -359,10 +359,10 @@ pub fn run_experiment_with(
     if let Ok(mut w) = store_warnings.lock() {
         warnings.append(&mut w);
     }
-    for (k, result) in fresh.into_iter().enumerate() {
-        // Flatten the executor's own failure layer (lost worker) into
-        // the cell's verdict.
-        outcomes[miss_indices[k]] = Some(result.unwrap_or_else(Err));
+    for (i, result) in miss_indices.into_iter().zip(fresh) {
+        // Flatten the pool's own failure layer (lost worker) into the
+        // cell's verdict.
+        outcomes[i] = Some(result.unwrap_or_else(Err));
     }
 
     // Deterministic re-assembly: grid order is queue order.
@@ -430,7 +430,7 @@ fn report_lines(exp_name: &str, result: &ExperimentResult) -> Vec<String> {
     lines
 }
 
-/// Runs one configuration once per seed through the engine's executor,
+/// Runs one configuration once per seed through the engine's worker pool,
 /// returning the full reports in seed order — the replacement for the
 /// old chunked `bench::run_seeds` and serial
 /// `ScenarioConfig::run_seeds`.
@@ -449,15 +449,15 @@ pub fn run_seeds(
     } else {
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
     };
-    let results = run_tasks(seeds.len(), workers, |i| cfg.clone().seed(seeds[i]).run());
+    let results = run_tasks(seeds.to_vec(), workers, |seed| cfg.clone().seed(seed).run());
     let mut reports = Vec::with_capacity(seeds.len());
-    for (i, r) in results.into_iter().enumerate() {
+    for (&seed, r) in seeds.iter().zip(results) {
         match r {
             Ok(report) => reports.push(report),
             Err(message) => {
                 return Err(CellFailure {
                     point_key: "run_seeds".to_owned(),
-                    seed: seeds[i],
+                    seed,
                     message,
                 })
             }

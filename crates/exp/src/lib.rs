@@ -5,15 +5,16 @@
 //!
 //! * [`sweep`] — the declarative model: an [`Experiment`] is a grid of
 //!   [`Point`]s addressed by named [`Axes`], plus a render function;
-//! * [`executor`] — a work-stealing executor that load-balances the
-//!   *entire* `(point, seed)` grid across cores with per-task panic
-//!   isolation and index-ordered (therefore deterministic) collection;
 //! * [`cache`] — a content-addressed result cache keyed by the
 //!   scenario's FNV-1a config digest plus seed, so re-running a figure
 //!   after an unrelated change reuses completed runs (bit-exactly);
-//! * [`engine`] — ties the three together and produces tables, CSV,
-//!   telemetry report lines, and per-cell failure accounting, with
-//!   per-cell watchdog budgets and bounded retry-with-reseed;
+//! * [`engine`] — ties the two together: load-balances the *entire*
+//!   `(point, seed)` grid across cores on the workspace's one worker
+//!   pool ([`airguard_obs::pool`]: per-task panic isolation,
+//!   index-ordered and therefore deterministic collection) and produces
+//!   tables, CSV, telemetry report lines, and per-cell failure
+//!   accounting, with per-cell watchdog budgets and bounded
+//!   retry-with-reseed;
 //! * [`manifest`] — a crash-safe append-only progress journal so a
 //!   killed sweep resumes instead of restarting;
 //! * [`table`] — the console/CSV render target (moved from
@@ -28,7 +29,6 @@
 pub mod cache;
 pub mod cell;
 pub mod engine;
-pub mod executor;
 pub mod manifest;
 pub mod sweep;
 pub mod table;
@@ -39,7 +39,6 @@ pub use engine::{
     retry_seed, run_experiment, run_experiment_with, run_seeds, simulate_cell,
     simulate_cell_budgeted, CellFailure, ExperimentOutcome, RunOptions, ATTEMPTS_COUNTER,
 };
-pub use executor::run_tasks;
 pub use manifest::{ManifestEntry, SweepManifest};
 pub use sweep::{Axes, Experiment, ExperimentResult, Figure, Point, PointResult, Rendered};
 pub use table::{f2, kbps, write_report_jsonl, Table};

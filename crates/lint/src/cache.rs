@@ -14,6 +14,7 @@ use crate::config::LintConfig;
 use crate::diagnostics::{Diagnostic, Rule};
 use crate::index::FileSummary;
 use crate::items::{EnumDef, Field, FileItems, FnDef, IterCall, PathUse, StructDef, Variant};
+use airguard_obs::fnv1a_hex;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -22,17 +23,6 @@ use std::path::{Path, PathBuf};
 pub const TOOL_VERSION: &str = "airguard-lint 0.2.0";
 
 const MAGIC: &str = "airguard-lint-cache v1";
-
-/// FNV-1a, 64-bit, rendered as fixed-width hex.
-#[must_use]
-pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
-}
 
 /// One cache directory bound to a config fingerprint.
 pub struct Cache {

@@ -1,11 +1,11 @@
 //! The two-pass lint engine.
 //!
 //! Pass 1 analyzes every file independently (lex, item parse, per-file
-//! rules, allow scan) — embarrassingly parallel, so a worker pool pulls
-//! file indices off an atomic cursor and writes each summary into its
-//! slot. Slotting by index, not completion order, makes the report
-//! byte-identical at any worker count. Unchanged files are served from
-//! the [`crate::cache`] instead of being re-analyzed.
+//! rules, allow scan) — embarrassingly parallel, so it runs on the
+//! workspace's worker pool ([`airguard_obs::pool`]), which hands the
+//! summaries back in file order, not completion order. That makes the
+//! report byte-identical at any worker count. Unchanged files are
+//! served from the [`crate::cache`] instead of being re-analyzed.
 //!
 //! Pass 2 is cheap and sequential: the summaries form a
 //! [`WorkspaceIndex`], the cross-file rules run over it, and allow
@@ -13,14 +13,15 @@
 //! unused-allow detection possible, since by then every rule has had its
 //! chance to consume each directive.
 
-use crate::cache::{fnv1a_hex, Cache};
+use crate::cache::Cache;
 use crate::config::LintConfig;
 use crate::diagnostics::Diagnostic;
 use crate::index::{FileSummary, WorkspaceIndex};
 use crate::{allow, items, lexer, rules, xrules, FileClass};
+use airguard_obs::fnv1a_hex;
+use airguard_obs::pool::run_tasks;
+use std::panic::resume_unwind;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// How the incremental cache participates in a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,81 +88,36 @@ pub fn run(root: &Path, cfg: &LintConfig, opts: &EngineOptions) -> std::io::Resu
         }
     };
 
-    // Pass 1: per-file summaries, slotted by file index.
+    // Pass 1: per-file summaries, in file order.
     let files_total = files.len();
-    let slots: Mutex<Vec<Option<(FileSummary, bool)>>> =
-        Mutex::new((0..files_total).map(|_| None).collect());
-    let cursor = AtomicUsize::new(0);
-    let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let workers = opts.workers.max(1).min(files_total.max(1));
-
-    let work = |_: usize| loop {
-        let i = cursor.fetch_add(1, Ordering::SeqCst);
-        if i >= files_total {
-            break;
-        }
-        let rel = &files[i];
-        let source = match std::fs::read_to_string(root.join(rel)) {
-            Ok(s) => s,
-            Err(e) => {
-                // Poisoning cannot lose data here: a poisoned guard
-                // still holds the slot, so recover it instead of
-                // propagating a second panic.
-                *io_error.lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
-                break;
-            }
-        };
+    let analyzed = run_tasks(files, opts.workers, |rel| -> std::io::Result<_> {
+        let source = std::fs::read_to_string(root.join(&rel))
+            .map_err(|e| std::io::Error::new(e.kind(), format!("{rel}: {e}")))?;
         let digest = fnv1a_hex(source.as_bytes());
-        let (summary, cached) = match cache.as_ref().and_then(|c| c.load(rel, &digest)) {
-            Some(summary) => (summary, true),
-            None => {
-                let summary = analyze(rel, &source, cfg);
-                if let Some(c) = &cache {
-                    c.store(&summary, &digest);
-                }
-                (summary, false)
-            }
-        };
-        slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some((summary, cached));
-    };
-
-    if workers <= 1 {
-        work(0);
-    } else {
-        let work = &work;
-        let joined = crossbeam::thread::scope(|s| {
-            for w in 0..workers {
-                s.spawn(move |_| work(w));
-            }
-        });
-        if let Err(payload) = joined {
-            // A worker panic is a lint bug; surface it as itself.
-            std::panic::resume_unwind(payload);
+        if let Some(summary) = cache.as_ref().and_then(|c| c.load(&rel, &digest)) {
+            return Ok((summary, true));
         }
-    }
-    if let Some(e) = io_error
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        return Err(e);
-    }
+        let summary = analyze(&rel, &source, cfg);
+        if let Some(c) = &cache {
+            c.store(&summary, &digest);
+        }
+        Ok((summary, false))
+    });
 
     let mut files_analyzed = 0;
     let mut files_cached = 0;
-    let summaries: Vec<FileSummary> = slots
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .flatten()
-        .map(|(summary, cached)| {
-            if cached {
-                files_cached += 1;
-            } else {
-                files_analyzed += 1;
-            }
-            summary
-        })
-        .collect();
+    let mut summaries = Vec::with_capacity(files_total);
+    for outcome in analyzed {
+        // A worker panic is a lint bug; surface it as itself. A read
+        // error reports the first unreadable file in sorted order.
+        let (summary, cached) = outcome.unwrap_or_else(|panic| resume_unwind(Box::new(panic)))?;
+        if cached {
+            files_cached += 1;
+        } else {
+            files_analyzed += 1;
+        }
+        summaries.push(summary);
+    }
 
     // Pass 2: cross-file rules over the index, then central allow
     // application and unused-directive reporting.
@@ -227,6 +183,37 @@ mod tests {
             std::fs::write(path, src).expect("write");
         }
         root
+    }
+
+    #[test]
+    fn read_errors_name_the_first_bad_file_at_any_worker_count() {
+        let root = workspace(
+            "read-error",
+            &[
+                ("crates/a/src/lib.rs", "pub fn a() {}\n"),
+                ("crates/z/src/lib.rs", "pub fn z() {}\n"),
+            ],
+        );
+        // Not valid UTF-8; the later file in sorted order is written first.
+        for rel in ["crates/m/src/bad.rs", "crates/c/src/bad.rs"] {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
+            std::fs::write(path, b"pub fn f() {}\n\xff\xfe\n").expect("write");
+        }
+        for workers in [1, 2, 4] {
+            let opts = EngineOptions {
+                workers,
+                ..EngineOptions::default()
+            };
+            let err = run(&root, &LintConfig::default(), &opts)
+                .expect_err("a non-UTF-8 source file is a read error");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.starts_with("crates/c/src/bad.rs: "),
+                "{workers} workers: {msg}"
+            );
+        }
     }
 
     const CFG_RS: &str = "pub struct Cfg {\n    pub nodes: u32,\n    pub rate: u64,\n}\nimpl Cfg {\n    pub fn identity(&self) -> String { format!(\"{}\", self.nodes) }\n}\n";

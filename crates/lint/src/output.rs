@@ -3,11 +3,13 @@
 //!
 //! All three formats are pure functions of the sorted diagnostic list,
 //! so the bytes are identical for any worker count and any cache state.
-//! JSON is emitted by hand (the offline build has no serde_json); keys
-//! are written in a fixed order and strings escaped per RFC 8259.
+//! JSON is emitted by hand: keys are written in a fixed order and
+//! strings escaped per RFC 8259 by [`airguard_obs::escape_into`], the
+//! workspace's one JSON string escaper.
 
 use crate::cache::TOOL_VERSION;
 use crate::diagnostics::{Diagnostic, Rule};
+use airguard_obs::escape_into;
 use std::fmt::Write as _;
 
 /// One diagnostic per line, `path:line:col: rule: message`.
@@ -95,23 +97,11 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// RFC 8259 string escaping.
+/// RFC 8259 string escaping, quotes included.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(s, &mut out);
     out.push('"');
     out
 }

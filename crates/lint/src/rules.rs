@@ -466,8 +466,8 @@ fn fault_path_at(
 }
 
 /// Flags `Ordering::Relaxed` outside the designated counter modules.
-/// Relaxed atomics are fine for monotone counters (the exp executor's
-/// task cursor, the obs sink's enable mask) but silently wrong the
+/// Relaxed atomics are fine for monotone counters (the obs registry's
+/// counters, the obs sink's enable mask) but silently wrong the
 /// moment two atomics must be observed consistently; keeping every
 /// other use SeqCst/Acquire-Release makes the exceptions auditable.
 fn ordering_at(tokens: &[Token], i: usize, t: &Token, push: &mut impl FnMut(&Token, Rule, String)) {
@@ -764,7 +764,7 @@ mod tests {
             vec![Rule::BoundedChannel]
         );
         assert_eq!(
-            rules_hit("let (tx, rx) = crossbeam::channel::unbounded();"),
+            rules_hit("let (tx, rx) = flume::unbounded();"),
             vec![Rule::BoundedChannel]
         );
         assert_eq!(

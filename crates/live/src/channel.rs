@@ -1,7 +1,6 @@
 //! A hand-rolled bounded MPSC channel (Mutex + Condvar + ring buffer).
 //!
-//! The vendored `crossbeam` shim carries only scoped threads — no
-//! channels — and `std::sync::mpsc::channel` is unbounded, which the
+//! `std::sync::mpsc::channel` is unbounded, which the
 //! `bounded-channel` lint bans in this crate for a reason: the whole
 //! point of the live service is that overload becomes *visible
 //! backpressure* (a blocked feeder, a counted shed, a degraded mode),
@@ -363,16 +362,15 @@ mod tests {
     fn blocking_send_resumes_when_space_frees() {
         let (tx, rx) = bounded(1);
         tx.send(0).expect("receiver alive");
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| {
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
                 // Blocks until the main thread drains one item.
                 tx.send(1).expect("receiver alive");
             });
             std::thread::sleep(Duration::from_millis(10));
             assert_eq!(rx.recv(), Some(0));
             assert_eq!(rx.recv(), Some(1));
-        })
-        .expect("no worker panicked");
+        });
     }
 
     #[test]

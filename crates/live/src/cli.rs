@@ -104,8 +104,15 @@ pub struct Cli {
 }
 
 /// Parses a positive integer, rejecting junk and zero with a message
-/// naming the source (`--shards`, `AIRGUARD_LIVE_SHARDS`, …).
-fn parse_positive(source: &str, value: &str) -> Result<u64, String> {
+/// naming the source (`--shards`, `AIRGUARD_LIVE_SHARDS`, …). The one
+/// validated-never-defaulted knob parser: the `airguard`,
+/// `airguard-bench` and `airguard-live` command lines all use it.
+///
+/// # Errors
+///
+/// Returns `"<source>: expected a positive integer, got <value>"` for
+/// zero or anything that is not a `u64`.
+pub fn parse_positive(source: &str, value: &str) -> Result<u64, String> {
     match value.trim().parse::<u64>() {
         Ok(0) => Err(format!("{source}: expected a positive integer, got 0")),
         Ok(n) => Ok(n),

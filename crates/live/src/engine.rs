@@ -28,6 +28,7 @@
 //! monitor-global idle census the feed does not carry).
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,7 +39,8 @@ use airguard_core::{
     SourceError, StationObservation,
 };
 use airguard_mac::BackoffObservation;
-use airguard_obs::{fnv1a_hex, EventSink, JsonObject, ObsEvent, RunSummary, NO_NODE};
+use airguard_obs::pool::panic_message;
+use airguard_obs::{fnv1a, fnv1a_hex, EventSink, JsonObject, ObsEvent, RunSummary, NO_NODE};
 
 use crate::channel::{bounded, Receiver, RecvTimeout, SendError, Sender};
 use crate::checkpoint::{Checkpoint, StationRecord};
@@ -243,11 +245,7 @@ pub struct LiveOutcome {
 /// the assignment is reproducible from the DESIGN.md description).
 #[must_use]
 pub fn shard_of(station: u32, shards: u32) -> u32 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in station.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = fnv1a(&station.to_le_bytes());
     u32::try_from(hash % u64::from(shards.max(1))).unwrap_or(0)
 }
 
@@ -602,9 +600,10 @@ impl Feeder<'_> {
 ///
 /// # Errors
 ///
-/// Fails on an unrecoverable transport error, an exhausted quarantine
-/// budget, a checkpoint that cannot be written, a restore whose state
-/// does not match the configured detector, or a panicked worker.
+/// Fails on an unrecoverable transport error (a panicking source counts
+/// as one), an exhausted quarantine budget, a checkpoint that cannot be
+/// written, a restore whose state does not match the configured
+/// detector, or a panicked worker.
 #[allow(clippy::too_many_lines)] // the feeder loop reads best unfragmented
 pub fn run(config: &LiveConfig, source: &mut dyn ObservationSource) -> Result<LiveOutcome, String> {
     if config.shards == 0 {
@@ -635,7 +634,7 @@ pub fn run(config: &LiveConfig, source: &mut dyn ObservationSource) -> Result<Li
     let kills: Vec<Arc<AtomicBool>> = (0..shards).map(|_| Arc::default()).collect();
     let shutdown = Arc::new(AtomicBool::new(false));
 
-    let scope_result = crossbeam::thread::scope(|scope| -> Result<LiveOutcome, String> {
+    std::thread::scope(|scope| -> Result<LiveOutcome, String> {
         let mut handles = Vec::with_capacity(shards);
         let mut senders = Vec::with_capacity(shards);
         for (shard, seed) in seeds.drain(..).enumerate() {
@@ -650,7 +649,7 @@ pub fn run(config: &LiveConfig, source: &mut dyn ObservationSource) -> Result<Li
                 config.correction,
                 config.faults,
             );
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 shard_worker(
                     u32::try_from(shard).unwrap_or(u32::MAX),
                     &rx,
@@ -742,7 +741,17 @@ pub fn run(config: &LiveConfig, source: &mut dyn ObservationSource) -> Result<Li
                 crashed = true;
                 break;
             }
-            match source.next_observation() {
+            // A panicking source is a failed feed, not an unwind through
+            // the engine: the run shuts its workers down and returns Err.
+            let next = catch_unwind(AssertUnwindSafe(|| source.next_observation())).unwrap_or_else(
+                |payload| {
+                    Err(SourceError::Transport(format!(
+                        "source panicked: {}",
+                        panic_message(payload.as_ref())
+                    )))
+                },
+            );
+            match next {
                 Ok(None) => break,
                 Ok(Some(obs)) => {
                     consumed += 1;
@@ -803,12 +812,21 @@ pub fn run(config: &LiveConfig, source: &mut dyn ObservationSource) -> Result<Li
         // Close the queues (workers drain and exit), then join.
         shutdown.store(true, Ordering::Relaxed);
         feeder.senders.clear();
+        // Join every worker before looking at any result, so the scope
+        // has no unjoined panic left to re-raise.
+        let joined: Vec<_> = handles
+            .into_iter()
+            .map(std::thread::ScopedJoinHandle::join)
+            .collect();
         let mut results = Vec::with_capacity(shards);
-        for (shard, handle) in handles.into_iter().enumerate() {
-            let joined = handle
-                .join()
-                .map_err(|_| format!("shard {shard} worker panicked"))?;
-            results.push(joined?);
+        for (shard, outcome) in joined.into_iter().enumerate() {
+            let outcome = outcome.map_err(|payload| {
+                format!(
+                    "shard {shard} worker panicked: {}",
+                    panic_message(payload.as_ref())
+                )
+            })?;
+            results.push(outcome?);
         }
         if let Some(message) = fail {
             return Err(message);
@@ -872,8 +890,7 @@ pub fn run(config: &LiveConfig, source: &mut dyn ObservationSource) -> Result<Li
             drained,
             latencies_us,
         })
-    });
-    scope_result.map_err(|_| "live engine panicked".to_owned())?
+    })
 }
 
 #[cfg(test)]
@@ -916,6 +933,40 @@ mod tests {
                 Some(Ok(obs)) => Ok(Some(obs)),
                 Some(Err(())) => Err(SourceError::Malformed("injected".into())),
             }
+        }
+    }
+
+    /// A source with a bug: it panics when asked for record `at`.
+    #[derive(Debug)]
+    struct PanickingSource {
+        inner: VecSource,
+        at: usize,
+    }
+
+    impl ObservationSource for PanickingSource {
+        fn next_observation(&mut self) -> Result<Option<StationObservation>, SourceError> {
+            assert!(
+                self.inner.pos != self.at,
+                "source blew up at record {}",
+                self.at
+            );
+            self.inner.next_observation()
+        }
+    }
+
+    #[test]
+    fn a_panicking_source_is_an_error_not_an_unwind() {
+        for shards in [1, 4] {
+            let mut source = PanickingSource {
+                inner: VecSource::honest(100, 7),
+                at: 40,
+            };
+            let err = run(&LiveConfig::new(shards), &mut source)
+                .expect_err("a panicking source fails the run");
+            assert!(
+                err.contains("source blew up at record 40"),
+                "{shards} shards: {err}"
+            );
         }
     }
 

@@ -1,7 +1,7 @@
 //! A minimal JSON reader for feed records and checkpoints.
 //!
-//! The offline build vendors a no-op `serde`, and the only JSON code in
-//! the workspace is the *writer* in `airguard_obs::JsonObject` — so the
+//! The workspace has no serialisation dependency, and the only other
+//! JSON code is the *writer* in `airguard_obs::JsonObject` — so the
 //! live service brings its own parser. It reads exactly the JSON the
 //! workspace emits (single-line objects with string/number/bool/null
 //! fields, nested objects and arrays) plus standard escapes, and turns
@@ -44,7 +44,7 @@ pub enum JsonValue {
     /// An array.
     Arr(Vec<JsonValue>),
     /// An object. Key order is not preserved; feed schemas never repeat
-    /// keys, and a repeated key keeps the last value like serde does.
+    /// keys, and a repeated key keeps the last value.
     Obj(BTreeMap<String, JsonValue>),
 }
 

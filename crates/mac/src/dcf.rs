@@ -28,7 +28,6 @@ use std::collections::{BTreeMap, VecDeque};
 use airguard_obs::{exchange_id, ObsEvent};
 use airguard_sim::trace::Trace;
 use airguard_sim::{NodeId, RngStream, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::drift::ClockDriftState;
 use crate::frames::{ExchangeDurations, Frame, FrameKind, FramePool, FrameRef};
@@ -38,7 +37,7 @@ use crate::timing::{MacTiming, Slots};
 
 /// Timers the MAC can arm. At most one timer per kind is pending; setting
 /// a kind that is already pending replaces it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TimerKind {
     /// Backoff countdown completion (DIFS + remaining slots).
     Backoff,
@@ -188,7 +187,7 @@ enum SenderState {
 /// [`AccessMode::Basic`] the attempt number rides in the DATA frame and
 /// the receiver measures `B_act` up to the DATA arrival instead of the
 /// RTS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AccessMode {
     /// Four-way handshake: RTS → CTS → DATA → ACK.
     #[default]
@@ -198,7 +197,7 @@ pub enum AccessMode {
 }
 
 /// MAC-level configuration knobs beyond the shared timing set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MacConfig {
     /// Timing and window parameters.
     pub timing: MacTiming,
@@ -224,7 +223,7 @@ impl Default for MacConfig {
 }
 
 /// Counters exposed for metrics and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MacCounters {
     /// RTS frames transmitted.
     pub rts_sent: u64,

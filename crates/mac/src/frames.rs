@@ -14,12 +14,11 @@
 //! use.
 
 use airguard_sim::{NodeId, SimDuration};
-use serde::{Deserialize, Serialize};
 
 use crate::timing::{MacTiming, Slots};
 
 /// The four DCF frame types used by the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameKind {
     /// Request to send.
     Rts,
@@ -45,7 +44,7 @@ impl FrameKind {
 }
 
 /// One MAC frame in flight.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Frame type.
     pub kind: FrameKind,

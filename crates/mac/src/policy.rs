@@ -18,13 +18,12 @@
 
 use airguard_sim::{NodeId, RngStream};
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use crate::timing::{MacTiming, Slots};
 
 /// The receiver-side conclusion about one delivered packet, produced by
 /// the diagnosis scheme and forwarded to metrics collection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketVerdict {
     /// Measured deviation `D = max(α·B_exp − B_act, 0)` for this packet's
     /// exchange, in slots.
@@ -45,7 +44,7 @@ pub struct PacketVerdict {
 /// per-packet `D = max(α·B_exp − B_act, 0)`; `penalty_slots` is the
 /// correction added to the sender's next assigned backoff (zero for a
 /// well-behaved exchange).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackoffObservation {
     /// `B_exp`: the total backoff the receiver expected, in slots.
     pub assigned_slots: f64,

@@ -11,7 +11,6 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 use airguard_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A count of backoff slots.
 ///
@@ -25,9 +24,7 @@ use serde::{Deserialize, Serialize};
 /// let timing = MacTiming::dsss_2mbps();
 /// assert_eq!(Slots::new(3).to_duration(&timing).as_micros(), 60);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Slots(u32);
 
 impl Slots {
@@ -86,7 +83,7 @@ impl Sub for Slots {
 }
 
 /// Complete MAC/PHY timing parameter set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MacTiming {
     /// Backoff slot time.
     pub slot: SimDuration,

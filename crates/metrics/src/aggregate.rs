@@ -4,10 +4,8 @@
 //! collapses a sample of per-run values into the statistics the harness
 //! prints.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a sample of per-run values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of runs.
     pub n: usize,

@@ -13,10 +13,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use airguard_sim::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Per-sender classification counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SenderTally {
     /// Packets delivered from this sender.
     pub packets: u64,
@@ -39,7 +38,7 @@ pub struct SenderTally {
 /// assert_eq!(tally.correct_diagnosis_percent(), 50.0);
 /// assert_eq!(tally.misdiagnosis_percent(), 0.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DiagnosisTally {
     misbehaving: BTreeSet<NodeId>,
     senders: BTreeMap<NodeId, SenderTally>,

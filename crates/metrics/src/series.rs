@@ -5,10 +5,9 @@
 //! [`TimeBinned`] buckets per-packet verdicts by arrival time.
 
 use airguard_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One bin's counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Bin {
     /// Packets recorded in this bin.
     pub packets: u64,
@@ -39,7 +38,7 @@ impl Bin {
 /// s.record(SimTime::from_micros(1_700_000), false);
 /// assert_eq!(s.bins()[1].percent(), 50.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeBinned {
     width: SimDuration,
     bins: Vec<Bin>,

@@ -3,10 +3,9 @@
 use std::collections::BTreeMap;
 
 use airguard_sim::{NodeId, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Delivery statistics for one sender→receiver flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlowStats {
     /// Payload bytes delivered (duplicates excluded).
     pub bytes: u64,
@@ -29,7 +28,7 @@ pub struct FlowStats {
 /// let bps = acc.sender_throughput_bps(s, SimDuration::from_secs(1));
 /// assert_eq!(bps, 8192.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThroughputAccount {
     flows: BTreeMap<(NodeId, NodeId), FlowStats>,
 }

@@ -17,10 +17,10 @@
 //! * The decomposition depends only on topology and config — never on
 //!   the worker count — and components are ordered by their smallest
 //!   member id, with members ascending inside each component.
-//! * Workers claim components from a shared cursor, but results are
-//!   written into per-component slots and merged in component order, so
-//!   the merged report and record stream are **byte-identical at any
-//!   worker count**.
+//! * Components run on the workspace's worker pool
+//!   ([`airguard_obs::pool`]), which hands results back in component
+//!   order, and are merged in that order, so the merged report and
+//!   record stream are **byte-identical at any worker count**.
 //! * Per-node surfaces (throughput flows, delays, counters, monitors)
 //!   partition across components; registry counters and histograms are
 //!   order-insensitive sums. Merging therefore reproduces exactly what
@@ -31,12 +31,12 @@
 //! * Records are merged by stable sort on virtual time, so events with
 //!   equal timestamps stay in component order.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::panic::resume_unwind;
 
 use airguard_fault::FaultPlan;
 use airguard_mac::dcf::MacCounters;
 use airguard_metrics::{DelayAccount, DiagnosisTally, ThroughputAccount, TimeBinned};
+use airguard_obs::pool::run_tasks;
 use airguard_obs::{EventSink, Phase, PhaseProfiler, Record, RegistrySnapshot, RunSummary};
 use airguard_phy::{interference_cutoff, TileIndex};
 use airguard_sim::trace::Trace;
@@ -310,37 +310,17 @@ pub(crate) fn run_sharded(
         let _build = profiler.scope(Phase::ShardBuild);
         build_plan(&cfg, &topology, policies, &misbehaving)
     };
-    let n_comp = specs.len();
-    let workers = workers.max(1).min(n_comp.max(1));
-    type SubResult = Result<(Vec<u32>, RunReport, Vec<Record>), String>;
-    let slots: Vec<Mutex<Option<ComponentSpec>>> =
-        specs.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let results: Vec<Mutex<Option<SubResult>>> = (0..n_comp).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n_comp {
-                    break;
-                }
-                let spec = slots[i]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take();
-                let Some(spec) = spec else { continue };
-                let outcome = run_component(spec, sink_mask, profiler, budget);
-                *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
-            });
-        }
+    let outcomes = run_tasks(specs, workers, |spec| {
+        run_component(spec, sink_mask, profiler, budget)
     });
     let _merge = profiler.scope(Phase::ShardMerge);
-    let mut subs = Vec::with_capacity(n_comp);
-    for slot in results {
-        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            Some(Ok(sub)) => subs.push(sub),
-            Some(Err(e)) => return Err(e),
-            None => return Err("shard worker exited without recording a result".to_owned()),
+    let mut subs = Vec::with_capacity(outcomes.len());
+    for outcome in outcomes {
+        match outcome {
+            Ok(sub) => subs.push(sub?),
+            // A panicking component is a simulator bug, as it is in a
+            // monolithic run: re-raise it once every component is done.
+            Err(panic) => resume_unwind(Box::new(panic)),
         }
     }
     let mut throughput = ThroughputAccount::new();

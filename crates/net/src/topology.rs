@@ -5,10 +5,9 @@
 use airguard_phy::{Meters, Position, TileIndex};
 use airguard_sim::{MasterSeed, NodeId};
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// One CBR flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flow {
     /// Traffic source.
     pub src: NodeId,
@@ -24,7 +23,7 @@ pub struct Flow {
 }
 
 /// A fully specified node placement plus traffic matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Node positions; node id = index.
     pub positions: Vec<Position>,

@@ -1,7 +1,7 @@
 //! Minimal hand-rolled JSON writer.
 //!
-//! The offline build's `serde` shim expands derives to nothing, so the
-//! exporters serialise by hand. Only what the JSONL/report schema needs
+//! The workspace has no serialisation dependency, so the exporters
+//! serialise by hand. Only what the JSONL/report schema needs
 //! is implemented: objects with string/integer/float/bool/raw fields,
 //! and correct string escaping.
 

@@ -35,6 +35,11 @@
 //! * **Timeline export** ([`records_to_chrome_trace`]) — the
 //!   virtual-time stream as Chrome trace-event JSON for Perfetto.
 //!
+//! Being the base crate, it also holds the pieces every layer shares:
+//! the one batch worker pool ([`pool::run_tasks`], behind the experiment
+//! engine, the shard runner and the lint engine) and the one FNV-1a
+//! ([`fnv1a`]).
+//!
 //! # Determinism
 //!
 //! Reports and JSONL export use virtual time only and `BTreeMap`
@@ -46,6 +51,7 @@
 mod event;
 mod json;
 mod perfetto;
+pub mod pool;
 mod profile;
 mod progress;
 mod registry;
@@ -59,7 +65,9 @@ pub use perfetto::records_to_chrome_trace;
 pub use profile::{Phase, PhaseGuard, PhaseProfiler};
 pub use progress::{Progress, ProgressSnapshot};
 pub use registry::{Counter, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
-pub use report::{aggregate_summaries, fnv1a_hex, record_to_json, records_to_jsonl, RunSummary};
+pub use report::{
+    aggregate_summaries, fnv1a, fnv1a_hex, record_to_json, records_to_jsonl, RunSummary,
+};
 pub use sink::EventSink;
 pub use span::{
     detector_latency_hists, ExchangeSpan, SpanSet, StationSpan, DETECTION_LATENCY_BOUNDS_US,

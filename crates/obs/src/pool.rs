@@ -1,11 +1,15 @@
-//! Work-stealing task executor with per-task panic isolation.
+//! The workspace's one batch worker pool, with per-task panic isolation.
 //!
-//! The old bench harness fanned out by chunking one point's seeds across
-//! threads: every point was a barrier, and a slow seed (or a point with
-//! fewer seeds than cores) left workers idle. Here the *entire*
-//! `(point, seed)` grid is one queue behind an atomic cursor; each worker
-//! repeatedly claims the next unclaimed index until the queue drains, so
-//! load balances across the whole grid with no per-point barriers.
+//! Every fan-out in the stack — the experiment engine's `(point, seed)`
+//! grid, the sharded simulator's interference components, the lint
+//! engine's per-file pass — has the same shape: a list of independent
+//! inputs, a fixed worker cap, and results wanted back in input order.
+//! [`run_tasks`] is that shape, on `std::thread::scope` alone.
+//!
+//! Load balance: the inputs sit behind one shared claim cursor (a
+//! mutex-guarded iterator); each worker repeatedly claims the next
+//! unclaimed input until the queue drains, so a slow task never holds
+//! up a barrier and every worker stays busy until the last claim.
 //!
 //! Determinism: workers push `(index, result)` pairs into a shared
 //! collection and the results are re-assembled in index order, so the
@@ -22,74 +26,72 @@
 //! rather than a generic "lost" marker.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Runs `count` tasks across `workers` threads, returning one result
-/// per task in task order. `workers` is clamped to `[1, count]`; with
-/// one worker the tasks run serially on the caller's thread (same
-/// failure semantics, no thread spawn).
-pub fn run_tasks<T, F>(count: usize, workers: usize, task: F) -> Vec<Result<T, String>>
+/// Runs `task` once per input across `workers` threads, returning one
+/// result per input in input order. `workers` is clamped to
+/// `[1, inputs.len()]`; with one worker the tasks run serially on the
+/// caller's thread (same failure semantics, no thread spawn).
+///
+/// Callers that index into shared state pass the indices themselves as
+/// the inputs; callers that hand each task an owned value pass those.
+pub fn run_tasks<I, T, F>(inputs: Vec<I>, workers: usize, task: F) -> Vec<Result<T, String>>
 where
+    I: Send,
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(I) -> T + Sync,
 {
+    let count = inputs.len();
     let workers = workers.max(1).min(count.max(1));
     if workers <= 1 {
-        return (0..count).map(|i| run_one(&task, i)).collect();
+        return inputs
+            .into_iter()
+            .map(|input| run_one(&task, input))
+            .collect();
     }
 
-    let cursor = AtomicUsize::new(0);
+    let queue = Mutex::new(inputs.into_iter().enumerate());
     let collected: Mutex<Vec<(usize, Result<T, String>)>> = Mutex::new(Vec::with_capacity(count));
-    let mut harness_errors: Vec<String> = Vec::new();
-    let scope_outcome = crossbeam::thread::scope(|scope| {
+    let harness_errors: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|_| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
+                scope.spawn(|| loop {
+                    // The claim's guard drops at the end of this statement,
+                    // before the task runs.
+                    let Some((i, input)) = lock_ignoring_poison(&queue).next() else {
                         break;
-                    }
-                    let result = run_one(&task, i);
+                    };
+                    let result = run_one(&task, input);
                     // Publish immediately: a completed task survives even
                     // if this worker thread later dies abnormally.
                     lock_ignoring_poison(&collected).push((i, result));
                 })
             })
             .collect();
-        let mut join_errors = Vec::new();
-        for handle in handles {
-            // Task panics are caught inside run_one, so a join failure
-            // means the worker thread itself died (e.g. a panic in the
-            // result-publishing path). Capture the payload so any slot
-            // the thread lost carries a real diagnosis.
-            if let Err(payload) = handle.join() {
-                join_errors.push(panic_message(payload.as_ref()));
-            }
-        }
-        join_errors
+        // Task panics are caught inside run_one, so a join failure means
+        // the worker thread itself died (e.g. a panic in the
+        // result-publishing path). Every handle is joined here, so the
+        // scope has no panic left to re-raise; the payloads become the
+        // diagnosis carried by any slot the dead thread lost.
+        handles
+            .into_iter()
+            .filter_map(|handle| handle.join().err())
+            .map(|payload| panic_message(payload.as_ref()))
+            .collect()
     });
-    match scope_outcome {
-        Ok(errors) => harness_errors.extend(errors),
-        Err(payload) => harness_errors.push(panic_message(payload.as_ref())),
-    }
 
-    let collected = match collected.into_inner() {
-        Ok(pairs) => pairs,
-        Err(poisoned) => poisoned.into_inner(),
-    };
+    let collected = collected
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     assemble(count, collected.into_iter(), &harness_errors)
 }
 
 /// Locks `mutex`, recovering the guard from a poisoned lock: a worker
 /// that panicked while holding it has already been recorded via its
-/// join handle, and the data inside (completed task results) is still
-/// valid and must not be discarded.
-fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+/// join handle, and the data inside (the remaining queue, completed
+/// task results) is still valid and must not be discarded.
+fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Re-assembles out-of-order `(index, result)` pairs into task order,
@@ -127,15 +129,17 @@ fn assemble<T>(
 
 /// Runs one task under `catch_unwind`, converting a panic payload into
 /// an error message.
-fn run_one<T, F>(task: &F, i: usize) -> Result<T, String>
+fn run_one<I, T, F>(task: &F, input: I) -> Result<T, String>
 where
-    F: Fn(usize) -> T + Sync,
+    F: Fn(I) -> T + Sync,
 {
-    catch_unwind(AssertUnwindSafe(|| task(i))).map_err(|payload| panic_message(payload.as_ref()))
+    catch_unwind(AssertUnwindSafe(|| task(input)))
+        .map_err(|payload| panic_message(payload.as_ref()))
 }
 
 /// Extracts the human-readable message from a panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_owned())
@@ -150,15 +154,28 @@ mod tests {
     #[test]
     fn results_come_back_in_task_order() {
         for workers in [1, 2, 4, 8] {
-            let out = run_tasks(20, workers, |i| i * 10);
+            let out = run_tasks((0..20).collect(), workers, |i| i * 10);
             let values: Vec<usize> = out.into_iter().map(|r| r.expect("task ok")).collect();
             assert_eq!(values, (0..20).map(|i| i * 10).collect::<Vec<_>>());
         }
     }
 
     #[test]
+    fn owned_inputs_move_into_their_tasks() {
+        for workers in [1, 2, 4, 8] {
+            let inputs: Vec<String> = (0..20).map(|i| format!("cell-{i}")).collect();
+            let out = run_tasks(inputs, workers, |s| s + "!");
+            let values: Vec<String> = out.into_iter().map(|r| r.expect("task ok")).collect();
+            assert_eq!(
+                values,
+                (0..20).map(|i| format!("cell-{i}!")).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
     fn a_panicking_task_is_a_failed_cell_not_an_abort() {
-        let out = run_tasks(5, 3, |i| {
+        let out = run_tasks((0..5).collect(), 3, |i| {
             assert!(i != 2, "cell 2 exploded");
             i
         });
@@ -178,7 +195,7 @@ mod tests {
         // real concurrency, every slot must still come back filled with
         // either its value or the task's own panic message — never the
         // generic "lost" marker.
-        let out = run_tasks(50, 4, |i| {
+        let out = run_tasks((0..50).collect(), 4, |i| {
             assert!(i % 3 != 0, "task {i} exploded");
             i
         });
@@ -214,13 +231,13 @@ mod tests {
 
     #[test]
     fn zero_tasks_is_fine() {
-        let out: Vec<Result<u32, String>> = run_tasks(0, 4, |_| 1);
+        let out: Vec<Result<u32, String>> = run_tasks(Vec::<usize>::new(), 4, |_| 1);
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_workers_than_tasks_is_fine() {
-        let out = run_tasks(2, 16, |i| i + 1);
+        let out = run_tasks((0..2).collect(), 16, |i: usize| i + 1);
         assert_eq!(out.len(), 2);
         assert!(out.into_iter().all(|r| r.is_ok()));
     }

@@ -12,9 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Handle to a named monotonic counter.
 ///
@@ -142,11 +140,15 @@ impl Registry {
         Registry::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, RegistryInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Returns the counter named `name`, creating it at zero on first
     /// use. Handles are cheap to clone and lock-free to update.
     #[must_use]
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner
             .counters
             .entry(name.to_owned())
@@ -158,7 +160,7 @@ impl Registry {
     /// on first use. An existing histogram keeps its original bounds.
     #[must_use]
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner
             .histograms
             .entry(name.to_owned())
@@ -169,7 +171,7 @@ impl Registry {
     /// Deterministic (`BTreeMap`-ordered) copy of every metric.
     #[must_use]
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         RegistrySnapshot {
             counters: inner
                 .counters

@@ -11,19 +11,28 @@ use crate::event::{ObsEvent, Record, NO_NODE};
 use crate::json::{u64_array, JsonObject};
 use crate::registry::{HistogramSnapshot, RegistrySnapshot};
 
-/// FNV-1a 64-bit digest of `bytes`, as a fixed-width hex string.
+/// FNV-1a 64-bit hash of `bytes`: the workspace's one stable,
+/// platform-independent hash (config digests, RNG stream domains,
+/// live shard routing, lint cache keys).
+#[inline]
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// [`fnv1a`] digest of `bytes`, as a fixed-width hex string.
 ///
 /// Used to fingerprint the run configuration (`Debug` rendering of the
 /// config struct) so reports from different configs never compare equal
 /// by accident.
 #[must_use]
 pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
+    format!("{:016x}", fnv1a(bytes))
 }
 
 /// Deterministic per-run report: configuration digest, seed, virtual

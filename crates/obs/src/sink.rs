@@ -10,9 +10,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::event::{Category, ObsEvent, Record};
 
@@ -89,7 +87,10 @@ impl EventSink {
 
     fn lock_state(&self) -> MutexGuard<'_, SinkState> {
         self.inner.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        self.inner.state.lock()
+        self.inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// True when at least one category is enabled.

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a simulated node.
 ///
 /// Node ids are dense indices assigned by the scenario builder; the MAC
@@ -18,9 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(n.index(), 3);
 /// assert_eq!(format!("{n}"), "n3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(u32);
 
 impl NodeId {

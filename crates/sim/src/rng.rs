@@ -7,6 +7,7 @@
 //! depends only on the master seed and the stream key — never on the order
 //! in which other components consume randomness.
 
+use airguard_obs::fnv1a;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,18 +55,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// FNV-1a over the domain label, so distinct component names map to
-/// well-separated stream keys.
-#[must_use]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// A deterministic random stream derived from a [`MasterSeed`].
 ///
 /// This is a thin newtype over [`StdRng`]; use it anywhere an
@@ -78,7 +67,9 @@ pub struct RngStream {
 }
 
 impl RngStream {
-    /// Derives the stream for `(domain, index)` under `master`.
+    /// Derives the stream for `(domain, index)` under `master`. The
+    /// domain label is FNV-1a hashed, so distinct component names map
+    /// to well-separated stream keys.
     #[must_use]
     pub fn new(master: MasterSeed, domain: &str, index: u64) -> Self {
         let key = splitmix64(

@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use airguard_live::cli::parse_positive;
 use airguard_mac::AccessMode;
 use airguard_net::{Protocol, ScenarioConfig, StandardScenario};
 
@@ -142,6 +143,14 @@ fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, ParseCliErr
         .map_err(|_| err(format!("{flag}: '{v}' is not a valid number")))
 }
 
+/// A count that must be at least one (`--seconds`, `--senders`,
+/// `--seeds`): zero would panic deep in the simulator or average over
+/// nothing, so it is rejected here.
+fn parse_count<T: TryFrom<u64>>(flag: &str, v: &str) -> Result<T, ParseCliError> {
+    let n = parse_positive(flag, v).map_err(err)?;
+    T::try_from(n).map_err(|_| err(format!("{flag}: value {n} out of range")))
+}
+
 /// Parses a full argument list (without the program name).
 ///
 /// # Errors
@@ -162,9 +171,9 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseCliError> {
                     "--scenario" => a.scenario = parse_scenario(take_value(flag, &mut it)?)?,
                     "--protocol" => a.protocol = parse_protocol(take_value(flag, &mut it)?)?,
                     "--pm" => a.pm = parse_num(flag, take_value(flag, &mut it)?)?,
-                    "--seconds" => a.seconds = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--seconds" => a.seconds = parse_count(flag, take_value(flag, &mut it)?)?,
                     "--seed" => a.seed = parse_num(flag, take_value(flag, &mut it)?)?,
-                    "--senders" => a.senders = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--senders" => a.senders = parse_count(flag, take_value(flag, &mut it)?)?,
                     "--basic" => a.basic = true,
                     other => return Err(err(format!("run: unknown flag '{other}'"))),
                 }
@@ -179,8 +188,8 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseCliError> {
             while let Some(flag) = it.next() {
                 match flag {
                     "--scenario" => a.scenario = parse_scenario(take_value(flag, &mut it)?)?,
-                    "--seconds" => a.seconds = parse_num(flag, take_value(flag, &mut it)?)?,
-                    "--seeds" => a.seeds = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--seconds" => a.seconds = parse_count(flag, take_value(flag, &mut it)?)?,
+                    "--seeds" => a.seeds = parse_count(flag, take_value(flag, &mut it)?)?,
                     "--step" => a.step = parse_num(flag, take_value(flag, &mut it)?)?,
                     other => return Err(err(format!("sweep: unknown flag '{other}'"))),
                 }
@@ -382,6 +391,30 @@ mod tests {
         assert!(parse(&["run", "--pm", "150"]).is_err(), "out of range");
         assert!(parse(&["sweep", "--step", "0"]).is_err());
         assert!(parse(&["run", "--bogus"]).is_err());
+    }
+
+    fn rejects_zero(args: &[&str], flag: &str) {
+        let e = parse(args).expect_err("zero is rejected");
+        assert_eq!(
+            e.to_string(),
+            format!("{flag}: expected a positive integer, got 0")
+        );
+    }
+
+    #[test]
+    fn rejects_zero_seconds() {
+        rejects_zero(&["run", "--seconds", "0"], "--seconds");
+        rejects_zero(&["sweep", "--seconds", "0"], "--seconds");
+    }
+
+    #[test]
+    fn rejects_zero_senders() {
+        rejects_zero(&["run", "--senders", "0"], "--senders");
+    }
+
+    #[test]
+    fn rejects_zero_seeds() {
+        rejects_zero(&["sweep", "--seeds", "0"], "--seeds");
     }
 
     #[test]
