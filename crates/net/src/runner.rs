@@ -572,10 +572,7 @@ impl Simulation {
         loop {
             let popped = {
                 let _pop = profiler.scope(Phase::SchedulerPop);
-                match self.sched.peek_time() {
-                    Some(t) if t <= horizon => self.sched.pop(),
-                    _ => None,
-                }
+                self.sched.pop_until(horizon)
             };
             let Some((now, event)) = popped else { break };
             self.dispatch(now, event);

@@ -11,9 +11,12 @@
 //!   DSSS interval used by the study (slot = 20 µs, SIFS = 10 µs,
 //!   DIFS = 50 µs, PLCP preamble = 192 µs), so no floating-point drift can
 //!   creep into slot accounting.
-//! * **An event queue** — [`Scheduler`] orders events by `(time, sequence)`
-//!   and supports O(1) logical cancellation through [`EventId`] handles,
-//!   which the MAC uses to abort CTS/ACK timeouts and backoff completions.
+//! * **An event queue** — [`Scheduler`] is a hierarchical timing wheel
+//!   over microsecond time that delivers events in `(time, sequence)`
+//!   order. Scheduling, popping and cancelling through [`EventId`]
+//!   handles are O(1); the MAC cancels CTS/ACK timeouts and backoff
+//!   completions this way. [`Scheduler::pop_until`] pops only events due
+//!   by a horizon.
 //! * **Deterministic randomness** — [`rng::RngStream`] derives independent,
 //!   reproducible RNGs from one master seed, keyed by a component label and
 //!   index, so adding a new consumer of randomness never perturbs the
