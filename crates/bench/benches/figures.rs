@@ -1,8 +1,9 @@
 //! One Criterion bench per table/figure of the paper, at reduced scale
 //! (1 simulated second, 1 seed) so `cargo bench` exercises every
-//! experiment's full code path. The full-scale numbers come from the
-//! `fig*` binaries (`cargo run --release -p airguard-bench --bin fig4`
-//! etc.) and are recorded in EXPERIMENTS.md.
+//! experiment's full code path. The full-scale numbers come from
+//! `airguard-bench --figure <name>`
+//! (`cargo run --release -p airguard-bench -- --figure fig4` etc.) and
+//! are recorded in EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -8,11 +8,11 @@
 //! airguard-bench                       # every figure, paper settings
 //! ```
 //!
-//! The 18 per-figure binaries call [`bin_main`] with their figure name
-//! forced and accept the same flags. Seed count, horizon, and detector
-//! selection fall back to the `AIRGUARD_SEEDS` / `AIRGUARD_SECS` /
-//! `AIRGUARD_DETECTOR` environment variables; malformed values are
-//! *rejected with an error*, never silently defaulted.
+//! `cargo run --release -p airguard-bench -- --figure <name>` runs one
+//! figure. Seed count, horizon, and detector selection fall back to the
+//! `AIRGUARD_SEEDS` / `AIRGUARD_SECS` / `AIRGUARD_DETECTOR` environment
+//! variables; malformed values are *rejected with an error*, never
+//! silently defaulted.
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -175,21 +175,20 @@ fn env_detector() -> Result<Option<String>, String> {
     }
 }
 
-/// Parses `args` (no argv[0]). `forced_figure` is set by the thin
-/// per-figure binaries; they reject `--figure`/`--list`.
+/// Parses `args` (no `argv[0]`).
 ///
 /// # Errors
 ///
 /// Returns a usage-style message on unknown flags, malformed numbers,
 /// or malformed `AIRGUARD_SEEDS`/`AIRGUARD_SECS` values.
-pub fn parse(args: &[String], forced_figure: Option<&str>) -> Result<Cli, String> {
+pub fn parse(args: &[String]) -> Result<Cli, String> {
     let env_shard = match env_positive("AIRGUARD_SHARD_WORKERS")? {
         Some(n) => usize::try_from(n)
             .map_err(|_| format!("AIRGUARD_SHARD_WORKERS: value {n} out of range"))?,
         None => 1,
     };
     let mut cli = Cli {
-        figures: forced_figure.iter().map(|s| (*s).to_owned()).collect(),
+        figures: Vec::new(),
         list: false,
         help: false,
         seeds: env_positive("AIRGUARD_SEEDS")?.unwrap_or(PAPER_SEEDS),
@@ -216,21 +215,8 @@ pub fn parse(args: &[String], forced_figure: Option<&str>) -> Result<Cli, String
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--figure" => {
-                let name = value("--figure", &mut it)?;
-                if forced_figure.is_some() {
-                    return Err(format!(
-                        "--figure: this binary is fixed to one figure; use `airguard-bench --figure {name}`"
-                    ));
-                }
-                cli.figures.push(name);
-            }
-            "--list" => {
-                if forced_figure.is_some() {
-                    return Err("--list: use `airguard-bench --list`".to_owned());
-                }
-                cli.list = true;
-            }
+            "--figure" => cli.figures.push(value("--figure", &mut it)?),
+            "--list" => cli.list = true,
             "--help" | "-h" => cli.help = true,
             "--seeds" => cli.seeds = parse_positive("--seeds", &value("--seeds", &mut it)?)?,
             "--secs" => cli.secs = parse_positive("--secs", &value("--secs", &mut it)?)?,
@@ -515,24 +501,10 @@ pub fn run(cli: &Cli) -> i32 {
 #[must_use]
 pub fn cli_main() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args, None) {
+    match parse(&args) {
         Ok(cli) => run(&cli),
         Err(msg) => {
             err(&format!("airguard-bench: {msg}"));
-            err(USAGE);
-            2
-        }
-    }
-}
-
-/// Entry point for the thin per-figure binaries (`fig4`, `fig5`, …).
-#[must_use]
-pub fn bin_main(figure: &str) -> i32 {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args, Some(figure)) {
-        Ok(cli) => run(&cli),
-        Err(msg) => {
-            err(&format!("{figure}: {msg}"));
             err(USAGE);
             2
         }
@@ -549,7 +521,7 @@ mod tests {
 
     #[test]
     fn defaults_are_the_paper_settings() {
-        let cli = parse(&[], None).expect("parses");
+        let cli = parse(&[]).expect("parses");
         assert_eq!(cli.seeds, PAPER_SEEDS);
         assert_eq!(cli.secs, PAPER_SECS);
         assert!(cli.figures.is_empty());
@@ -558,23 +530,20 @@ mod tests {
 
     #[test]
     fn flags_parse() {
-        let cli = parse(
-            &args(&[
-                "--figure",
-                "fig4",
-                "--seeds",
-                "3",
-                "--secs",
-                "2",
-                "--workers",
-                "4",
-                "--jsonl",
-                "--no-cache",
-                "--cache-dir",
-                "/tmp/c",
-            ]),
-            None,
-        )
+        let cli = parse(&args(&[
+            "--figure",
+            "fig4",
+            "--seeds",
+            "3",
+            "--secs",
+            "2",
+            "--workers",
+            "4",
+            "--jsonl",
+            "--no-cache",
+            "--cache-dir",
+            "/tmp/c",
+        ]))
         .expect("parses");
         assert_eq!(cli.figures, vec!["fig4".to_owned()]);
         assert_eq!((cli.seeds, cli.secs, cli.workers), (3, 2, 4));
@@ -584,18 +553,15 @@ mod tests {
 
     #[test]
     fn hardening_flags_parse() {
-        let cli = parse(
-            &args(&[
-                "--retries",
-                "2",
-                "--watchdog-secs",
-                "90",
-                "--max-events",
-                "5000000",
-                "--no-resume",
-            ]),
-            None,
-        )
+        let cli = parse(&args(&[
+            "--retries",
+            "2",
+            "--watchdog-secs",
+            "90",
+            "--max-events",
+            "5000000",
+            "--no-resume",
+        ]))
         .expect("parses");
         assert_eq!(cli.retries, 2);
         assert_eq!(cli.watchdog_secs, Some(90));
@@ -605,7 +571,7 @@ mod tests {
 
     #[test]
     fn hardening_defaults_are_inert() {
-        let cli = parse(&[], None).expect("parses");
+        let cli = parse(&[]).expect("parses");
         assert_eq!(cli.retries, 0);
         assert_eq!(cli.watchdog_secs, None);
         assert_eq!(cli.max_events, None);
@@ -614,71 +580,61 @@ mod tests {
 
     #[test]
     fn impossible_hardening_values_are_rejected() {
-        assert!(parse(&args(&["--retries", "-1"]), None)
+        assert!(parse(&args(&["--retries", "-1"]))
             .unwrap_err()
             .contains("non-negative integer"));
-        assert!(parse(&args(&["--retries", "many"]), None)
+        assert!(parse(&args(&["--retries", "many"]))
             .unwrap_err()
             .contains("non-negative integer"));
-        assert!(parse(&args(&["--watchdog-secs", "0"]), None)
+        assert!(parse(&args(&["--watchdog-secs", "0"]))
             .unwrap_err()
             .contains("got 0"));
-        assert!(parse(&args(&["--watchdog-secs"]), None)
+        assert!(parse(&args(&["--watchdog-secs"]))
             .unwrap_err()
             .contains("missing value"));
-        assert!(parse(&args(&["--max-events", "0"]), None)
+        assert!(parse(&args(&["--max-events", "0"]))
             .unwrap_err()
             .contains("got 0"));
-        assert!(parse(&args(&["--max-events", "lots"]), None)
+        assert!(parse(&args(&["--max-events", "lots"]))
             .unwrap_err()
             .contains("positive integer"));
         // `--retries 0` is a meaningful request (no retries), not junk.
         assert_eq!(
-            parse(&args(&["--retries", "0"]), None)
-                .expect("parses")
-                .retries,
+            parse(&args(&["--retries", "0"])).expect("parses").retries,
             0
         );
     }
 
     #[test]
     fn shard_workers_flag_parses_and_defaults_to_one() {
-        assert_eq!(parse(&[], None).expect("parses").shard_workers, 1);
-        let cli = parse(&args(&["--shard-workers", "4"]), None).expect("parses");
+        assert_eq!(parse(&[]).expect("parses").shard_workers, 1);
+        let cli = parse(&args(&["--shard-workers", "4"])).expect("parses");
         assert_eq!(cli.shard_workers, 4);
-        assert!(parse(&args(&["--shard-workers", "0"]), None)
+        assert!(parse(&args(&["--shard-workers", "0"]))
             .unwrap_err()
             .contains("got 0"));
-        assert!(parse(&args(&["--shard-workers", "lots"]), None)
+        assert!(parse(&args(&["--shard-workers", "lots"]))
             .unwrap_err()
             .contains("positive integer"));
-        assert!(parse(&args(&["--shard-workers"]), None)
+        assert!(parse(&args(&["--shard-workers"]))
             .unwrap_err()
             .contains("missing value"));
     }
 
     #[test]
     fn malformed_numbers_are_rejected() {
-        assert!(parse(&args(&["--seeds", "many"]), None)
+        assert!(parse(&args(&["--seeds", "many"]))
             .unwrap_err()
             .contains("positive integer"));
-        assert!(parse(&args(&["--secs", "0"]), None)
+        assert!(parse(&args(&["--secs", "0"]))
             .unwrap_err()
             .contains("got 0"));
-        assert!(parse(&args(&["--seeds"]), None)
+        assert!(parse(&args(&["--seeds"]))
             .unwrap_err()
             .contains("missing value"));
-        assert!(parse(&args(&["--frobnicate"]), None)
+        assert!(parse(&args(&["--frobnicate"]))
             .unwrap_err()
             .contains("unknown flag"));
-    }
-
-    #[test]
-    fn forced_figure_binaries_reject_selection_flags() {
-        let cli = parse(&args(&["--seeds", "2"]), Some("fig4")).expect("parses");
-        assert_eq!(cli.figures, vec!["fig4".to_owned()]);
-        assert!(parse(&args(&["--figure", "fig5"]), Some("fig4")).is_err());
-        assert!(parse(&args(&["--list"]), Some("fig4")).is_err());
     }
 
     #[test]
@@ -691,16 +647,16 @@ mod tests {
     #[test]
     fn detector_flag_validates_and_normalizes() {
         for kind in ["window", "cusum", "cw"] {
-            let cli = parse(&args(&["--detector", kind]), None).expect("parses");
+            let cli = parse(&args(&["--detector", kind])).expect("parses");
             assert_eq!(cli.detector.as_deref(), Some(kind));
         }
         // Surrounding whitespace is tolerated, junk is not.
-        let cli = parse(&args(&["--detector", " cusum "]), None).expect("parses");
+        let cli = parse(&args(&["--detector", " cusum "])).expect("parses");
         assert_eq!(cli.detector.as_deref(), Some("cusum"));
-        let msg = parse(&args(&["--detector", "ewma"]), None).unwrap_err();
+        let msg = parse(&args(&["--detector", "ewma"])).unwrap_err();
         assert!(msg.contains("--detector"), "{msg}");
         assert!(msg.contains("window, cusum, or cw"), "{msg}");
-        assert!(parse(&args(&["--detector"]), None)
+        assert!(parse(&args(&["--detector"]))
             .unwrap_err()
             .contains("missing value"));
     }
@@ -714,7 +670,7 @@ mod tests {
         assert!(msg.contains("AIRGUARD_DETECTOR"), "{msg}");
         assert!(msg.contains("window, cusum, or cw"), "{msg}");
         // Unset (the default in the test environment) means "all".
-        assert_eq!(parse(&[], None).expect("parses").detector, None);
+        assert_eq!(parse(&[]).expect("parses").detector, None);
         // A set-and-valid round trip, restored before returning; keeps
         // the value valid throughout so racing `parse` calls still
         // succeed.
@@ -726,21 +682,23 @@ mod tests {
 
     #[test]
     fn observability_flags_parse() {
-        let cli = parse(
-            &args(&["--quiet", "--profile", "--trace-out", "/tmp/trace.json"]),
-            None,
-        )
+        let cli = parse(&args(&[
+            "--quiet",
+            "--profile",
+            "--trace-out",
+            "/tmp/trace.json",
+        ]))
         .expect("parses");
         assert!(cli.quiet && cli.profile);
         assert_eq!(cli.trace_out.as_deref(), Some("/tmp/trace.json"));
-        assert!(parse(&args(&["--trace-out"]), None)
+        assert!(parse(&args(&["--trace-out"]))
             .unwrap_err()
             .contains("missing value"));
     }
 
     #[test]
     fn observability_defaults_are_inert() {
-        let cli = parse(&[], None).expect("parses");
+        let cli = parse(&[]).expect("parses");
         assert!(!cli.quiet && !cli.profile);
         assert_eq!(cli.trace_out, None);
     }

@@ -2,7 +2,7 @@
 //!
 //! The paper's robustness claim (§5.2) is that diagnosis stays accurate
 //! under an imperfect channel. This grid probes the claim far past the
-//! paper's shadowing model: every [`airguard_fault`] injector at once —
+//! paper's shadowing model: every `airguard-fault` injector at once —
 //! Gilbert–Elliott burst loss, node churn, control-frame corruption,
 //! receiver clock drift — scaled by a single intensity knob and crossed
 //! with the misbehavior coefficient. The `pm=0` rows are the

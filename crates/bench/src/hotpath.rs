@@ -6,7 +6,7 @@
 //!
 //! * **micro**: a canned TWO-FLOW run (the determinism-test scenario)
 //!   executed over a small seed set, reporting scheduler events per
-//!   wall-clock second (best of [`REPS`] repetitions);
+//!   wall-clock second (best of `REPS` repetitions);
 //! * **macro**: the fig4 sweep at downscaled settings through the
 //!   experiment engine with the cache disabled, reporting wall time.
 //!
@@ -44,7 +44,7 @@ pub const REPORT_PATH: &str = "BENCH_hotpath.json";
 pub struct Measurement {
     /// Scheduler events delivered across the whole seed set.
     pub events: u64,
-    /// Best wall-clock seconds over [`REPS`] repetitions.
+    /// Best wall-clock seconds over `REPS` repetitions.
     pub wall_s: f64,
     /// `events / wall_s` of the best repetition.
     pub events_per_sec: f64,
@@ -90,7 +90,7 @@ fn micro_rep(seeds: u64, secs: u64) -> (u64, f64) {
     (events, start.elapsed().as_secs_f64())
 }
 
-/// Best-of-[`REPS`] micro measurement at the given scale.
+/// Best-of-`REPS` micro measurement at the given scale.
 #[must_use]
 pub fn measure_micro(seeds: u64, secs: u64) -> Measurement {
     let mut best: Option<(u64, f64)> = None;

@@ -7,9 +7,8 @@
 //! * [`figures`] — one declarative [`airguard_exp::Experiment`]
 //!   registration per published figure/table/ablation;
 //! * [`cli`] — the unified `airguard-bench` command line
-//!   (`--figure fig4 --seeds 30 --secs 50 --jsonl --no-cache --list`);
-//!   the 18 `src/bin/*.rs` binaries are thin wrappers that force one
-//!   figure and accept the same flags.
+//!   (`--figure fig4 --seeds 30 --secs 50 --jsonl --no-cache --list`),
+//!   the one binary that regenerates any figure.
 //!
 //! The paper runs 30 seeds × 50 s; both are overridable with
 //! `--seeds`/`--secs` or the `AIRGUARD_SEEDS`/`AIRGUARD_SECS`

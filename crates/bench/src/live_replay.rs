@@ -37,7 +37,7 @@ const STATIONS: u32 = 64;
 const DEFAULT_PARALLEL: u32 = 4;
 
 /// Synthesizes the replay feed: `records` monitor `backoff_assigned`
-/// lines over [`STATIONS`] stations, every fourth station misbehaving
+/// lines over `STATIONS` stations, every fourth station misbehaving
 /// (it backs off ~20% of its assignment).
 #[must_use]
 pub fn synth_feed(records: u64) -> Vec<u8> {

@@ -647,7 +647,7 @@ mod tests {
 
     #[test]
     fn path_uses_distinguish_construction_from_pattern() {
-        let src = "fn f(e: ObsEvent) {\n    match e {\n        ObsEvent::Decode { .. } => {}\n        ObsEvent::Collision { victim_tx, .. } => { let _ = victim_tx; }\n        _ => {}\n    }\n    emit(ObsEvent::Decode { tx: 1, clean: true });\n    if let ObsEvent::Note { category, detail } = other() { drop((category, detail)); }\n}\n";
+        let src = "fn f(e: ObsEvent) {\n    match e {\n        ObsEvent::Decode { .. } => {}\n        ObsEvent::Collision { victim_tx, .. } => { let _ = victim_tx; }\n        _ => {}\n    }\n    emit(ObsEvent::Decode { tx: 1, clean: true });\n    if let ObsEvent::CtsTx { dst, xid } = other() { drop((dst, xid)); }\n}\n";
         let it = items(src);
         let find = |tail: &str, construction: bool| {
             it.path_uses
@@ -660,14 +660,12 @@ mod tests {
         assert_eq!(find("Decode", false), 1, "match arm is a pattern");
         assert_eq!(find("Decode", true), 1, "emit() is a construction");
         assert_eq!(find("Collision", false), 1, "rest pattern is a pattern");
-        assert_eq!(find("Note", false), 1, "if-let binding is a pattern");
+        assert_eq!(find("CtsTx", false), 1, "if-let binding is a pattern");
     }
 
     #[test]
     fn use_statements_are_not_path_uses() {
-        let it = items(
-            "use ObsEvent::Note;\nfn f() { g(ObsEvent::Note { category: c, detail: d }); }\n",
-        );
+        let it = items("use ObsEvent::CtsTx;\nfn f() { g(ObsEvent::CtsTx { dst: d, xid: x }); }\n");
         assert_eq!(it.path_uses.len(), 1);
         assert!(it.path_uses[0].construction);
         assert_eq!(it.path_uses[0].line, 2);

@@ -394,8 +394,7 @@ fn prints_at(tokens: &[Token], i: usize, t: &Token, push: &mut impl FnMut(&Token
             Rule::PrintMacro,
             format!(
                 "`{ident}!` in crate library code writes to raw stdio; emit a typed \
-                 `airguard_obs::ObsEvent` (or a `note` through the trace) so output stays \
-                 structured, or justify with `// lint:allow(print-macro) — <reason>`"
+                 `airguard_obs::ObsEvent` so output stays structured, or justify with `// lint:allow(print-macro) — <reason>`"
             ),
         );
     }

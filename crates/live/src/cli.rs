@@ -6,7 +6,7 @@
 //! airguard-live --listen 127.0.0.1:9900 --overflow sample
 //! ```
 //!
-//! On success the final [`RunSummary`] is printed as one JSON line on
+//! On success the final [`RunSummary`](airguard_obs::RunSummary) is printed as one JSON line on
 //! stdout (byte-identical across shard counts and kill/restore under
 //! the lossless policy — the CI smoke job greps exactly that line);
 //! restore notes and warnings go to stderr. Exit codes: `0` success,
@@ -140,7 +140,7 @@ fn env_shards() -> Result<Option<u32>, String> {
     }
 }
 
-/// Parses `args` (no argv[0]).
+/// Parses `args` (no `argv[0]`).
 ///
 /// # Errors
 ///

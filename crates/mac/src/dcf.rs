@@ -25,8 +25,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use airguard_obs::{exchange_id, ObsEvent};
-use airguard_sim::trace::Trace;
+use airguard_obs::{exchange_id, EventSink, ObsEvent};
 use airguard_sim::{NodeId, RngStream, SimDuration, SimTime};
 
 use crate::drift::ClockDriftState;
@@ -246,7 +245,7 @@ pub struct Mac<P> {
     cfg: MacConfig,
     policy: P,
     rng: RngStream,
-    trace: Trace,
+    sink: EventSink,
 
     // Channel view.
     phys_busy: bool,
@@ -292,7 +291,7 @@ impl<P: BackoffPolicy> Mac<P> {
             cfg,
             policy,
             rng,
-            trace: Trace::new(),
+            sink: EventSink::new(),
             phys_busy: false,
             nav_until: SimTime::ZERO,
             virtual_busy: false,
@@ -313,9 +312,14 @@ impl<P: BackoffPolicy> Mac<P> {
         }
     }
 
-    /// Attaches a trace sink.
-    pub fn set_trace(&mut self, trace: Trace) {
-        self.trace = trace;
+    /// Attaches an event sink.
+    pub fn set_sink(&mut self, sink: EventSink) {
+        self.sink = sink;
+    }
+
+    /// Emits `event` at `now`, attributed to this node.
+    fn emit(&self, now: SimTime, event: ObsEvent) {
+        self.sink.emit(now.as_micros(), self.id.value(), event);
     }
 
     /// Injects clock drift into this node's diagnosis-path idle-slot
@@ -499,9 +503,8 @@ impl<P: BackoffPolicy> Mac<P> {
                     .policy
                     .fresh_backoff(dst, &self.cfg.timing, &mut self.rng);
                 self.sender = SenderState::Backoff;
-                self.trace.emit(
+                self.emit(
                     now,
-                    self.id,
                     ObsEvent::BackoffDrawn {
                         dst: dst.value(),
                         slots: self.remaining.count(),
@@ -565,7 +568,7 @@ impl<P: BackoffPolicy> Mac<P> {
                 xid,
             },
         };
-        self.trace.emit(now, self.id, event);
+        self.emit(now, event);
         let frame = self.pool.alloc(frame);
         self.on_air = Some(frame.share());
         fx.push(MacEffect::StartTx(frame));
@@ -583,9 +586,8 @@ impl<P: BackoffPolicy> Mac<P> {
     ) {
         let Some(obs) = obs else { return };
         let xid = exchange_id(src.value(), seq);
-        self.trace.emit(
+        self.emit(
             now,
-            self.id,
             ObsEvent::BackoffAssigned {
                 src: src.value(),
                 assigned_slots: obs.assigned_slots,
@@ -594,9 +596,8 @@ impl<P: BackoffPolicy> Mac<P> {
             },
         );
         if obs.penalty_slots > 0.0 {
-            self.trace.emit(
+            self.emit(
                 now,
-                self.id,
                 ObsEvent::PenaltyAdded {
                     src: src.value(),
                     penalty_slots: obs.penalty_slots,
@@ -622,9 +623,8 @@ impl<P: BackoffPolicy> Mac<P> {
         self.attempt += 1;
         if self.attempt > self.cfg.timing.retry_limit {
             self.counters.retry_drops += 1;
-            self.trace.emit(
+            self.emit(
                 now,
-                self.id,
                 ObsEvent::PacketDropped {
                     seq: pkt.seq,
                     attempts: self.attempt - 1,
@@ -642,9 +642,8 @@ impl<P: BackoffPolicy> Mac<P> {
                 self.policy
                     .retry_backoff(pkt.dst, self.attempt, &self.cfg.timing, &mut self.rng);
             self.sender = SenderState::Backoff;
-            self.trace.emit(
+            self.emit(
                 now,
-                self.id,
                 ObsEvent::Retry {
                     ack: ack_timeout,
                     attempt: self.attempt,
@@ -707,9 +706,8 @@ impl<P: BackoffPolicy> Mac<P> {
         // if a response is already queued (we can only say one thing at a
         // time).
         if now < self.nav_until || self.pending_response.is_some() {
-            self.trace.emit(
+            self.emit(
                 now,
-                self.id,
                 ObsEvent::RtsIgnored {
                     src: frame.src.value(),
                 },
@@ -721,9 +719,8 @@ impl<P: BackoffPolicy> Mac<P> {
             .should_respond_rts(frame.src, frame.seq, frame.attempt, &mut self.rng)
         {
             // Attempt-verification probe (§4.1): pretend the RTS was lost.
-            self.trace.emit(
+            self.emit(
                 now,
-                self.id,
                 ObsEvent::ProbeDropped {
                     src: frame.src.value(),
                 },
@@ -786,9 +783,8 @@ impl<P: BackoffPolicy> Mac<P> {
             kind: TimerKind::Response,
             after: self.cfg.timing.sifs,
         });
-        self.trace.emit(
+        self.emit(
             now,
-            self.id,
             ObsEvent::CtsRx {
                 src: frame.src.value(),
                 seq: pkt.seq,
@@ -826,9 +822,8 @@ impl<P: BackoffPolicy> Mac<P> {
             });
             if let Some(verdict) = self.policy.observe_data(frame.src) {
                 if verdict.flagged {
-                    self.trace.emit(
+                    self.emit(
                         now,
-                        self.id,
                         ObsEvent::DiagnosisFlagged {
                             src: frame.src.value(),
                             window_sum: verdict.window_sum,
@@ -844,9 +839,8 @@ impl<P: BackoffPolicy> Mac<P> {
         }
         // ACK even duplicates: the sender needs to stop retrying.
         if self.pending_response.is_some() {
-            self.trace.emit(
+            self.emit(
                 now,
-                self.id,
                 ObsEvent::AckSuppressed {
                     src: frame.src.value(),
                 },
@@ -892,9 +886,8 @@ impl<P: BackoffPolicy> Mac<P> {
             attempts: self.attempt,
             delay: now.saturating_since(pkt.enqueued_at),
         });
-        self.trace.emit(
+        self.emit(
             now,
-            self.id,
             ObsEvent::AckRx {
                 src: frame.src.value(),
                 seq: pkt.seq,
@@ -949,8 +942,7 @@ impl<P: BackoffPolicy> Mac<P> {
                 } else {
                     // Extremely rare tie with a response transmission;
                     // retry the access next time the channel goes idle.
-                    self.trace
-                        .emit(now, self.id, ObsEvent::Deferred { response: false });
+                    self.emit(now, ObsEvent::Deferred { response: false });
                     self.resume_countdown(now, fx);
                 }
             }
@@ -969,8 +961,7 @@ impl<P: BackoffPolicy> Mac<P> {
             TimerKind::Response => {
                 if let Some(frame) = self.pending_response.take() {
                     if self.on_air.is_some() {
-                        self.trace
-                            .emit(now, self.id, ObsEvent::Deferred { response: true });
+                        self.emit(now, ObsEvent::Deferred { response: true });
                     } else {
                         let event = match frame.kind {
                             // CTS/ACK answer the exchange the *peer*
@@ -991,7 +982,7 @@ impl<P: BackoffPolicy> Mac<P> {
                                 xid: exchange_id(self.id.value(), frame.seq),
                             },
                         };
-                        self.trace.emit(now, self.id, event);
+                        self.emit(now, event);
                         self.on_air = Some(frame.share());
                         fx.push(MacEffect::StartTx(frame));
                     }

@@ -26,12 +26,11 @@ use airguard_mac::dcf::MacCounters;
 use airguard_mac::{ClockDriftState, FrameRef, Mac, MacConfig, MacEffect, MacInput, TimerKind};
 use airguard_metrics::{jain_index, DelayAccount, DiagnosisTally, ThroughputAccount, TimeBinned};
 use airguard_obs::{
-    fnv1a_hex, Category, Counter, Histogram, ObsEvent, Phase, PhaseProfiler, Registry, RunSummary,
-    SpanSet,
+    fnv1a_hex, Category, Counter, EventSink, Histogram, ObsEvent, Phase, PhaseProfiler, Registry,
+    RunSummary, SpanSet,
 };
 use airguard_phy::reception::DecodeOutcome;
 use airguard_phy::{Dbm, Fading, ListenerOutcome, Medium, PhyConfig, RxTracker, TransmissionId};
-use airguard_sim::trace::Trace;
 use airguard_sim::{EventId, MasterSeed, NodeId, Scheduler, SimDuration, SimTime};
 
 use crate::faults::FaultRuntime;
@@ -324,7 +323,7 @@ pub struct Simulation {
     tally: DiagnosisTally,
     series: TimeBinned,
     delays: DelayAccount,
-    trace: Trace,
+    sink: EventSink,
     registry: Registry,
     deviation_hist: Histogram,
     diagnosis_flags: Counter,
@@ -494,7 +493,7 @@ impl Simulation {
             throughput: ThroughputAccount::new(),
             series,
             delays: DelayAccount::new(),
-            trace: Trace::new(),
+            sink: EventSink::new(),
             registry,
             deviation_hist,
             diagnosis_flags,
@@ -509,16 +508,16 @@ impl Simulation {
         }
     }
 
-    /// Attaches a trace sink to the runner and every node (MAC and
+    /// Attaches an event sink to the runner and every node (MAC and
     /// reception tracker alike, so PHY collision/decode events land in
     /// the same stream).
-    pub fn set_trace(&mut self, trace: Trace) {
+    pub fn set_sink(&mut self, sink: EventSink) {
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            node.mac.set_trace(trace.clone());
+            node.mac.set_sink(sink.clone());
             node.tracker
-                .set_trace(trace.clone(), NodeId::new(self.node_ids[i]));
+                .set_sink(sink.clone(), NodeId::new(self.node_ids[i]));
         }
-        self.trace = trace;
+        self.sink = sink;
     }
 
     /// The run's metrics registry. Callers may register additional
@@ -627,8 +626,7 @@ impl Simulation {
         // histograms are as deterministic as every other metric; runs
         // without an enabled sink skip this and keep the exact summary
         // shape they had before causal tracing existed.
-        let sink = self.trace.sink();
-        if sink.wants(Category::MacTx) && sink.wants(Category::Monitor) {
+        if self.sink.wants(Category::MacTx) && self.sink.wants(Category::Monitor) {
             // Histograms are named after the deviation detector the
             // monitors ran, so detector sweeps keep their reaction-time
             // distributions apart (the window detector keeps the
@@ -638,7 +636,7 @@ impl Simulation {
                 .iter()
                 .find_map(|n| n.mac.policy().detector_kind())
                 .unwrap_or("window");
-            SpanSet::from_records(&sink.records())
+            SpanSet::from_records(&self.sink.records())
                 .record_detection_latencies_for(&self.registry, detector);
         }
         let summary = RunSummary::new(
@@ -767,9 +765,9 @@ impl Simulation {
                             self.sched.cancel(id);
                         }
                     }
-                    self.trace.emit(
-                        now,
-                        NodeId::new(self.node_ids[node]),
+                    self.sink.emit(
+                        now.as_micros(),
+                        self.node_ids[node],
                         ObsEvent::FaultNodeDown {
                             cold: !preserve_monitor,
                         },
@@ -785,9 +783,9 @@ impl Simulation {
                     if self.nodes[node].tracker.is_busy() {
                         self.pending.push_back((node, MacInput::ChannelBusy));
                     }
-                    self.trace.emit(
-                        now,
-                        NodeId::new(self.node_ids[node]),
+                    self.sink.emit(
+                        now.as_micros(),
+                        self.node_ids[node],
                         ObsEvent::FaultNodeUp {
                             downtime_us: downtime.as_micros(),
                         },
@@ -849,9 +847,9 @@ impl Simulation {
                     // traces label them with their global identity.
                     let listener_gid = NodeId::new(self.node_ids[l.listener.index()]);
                     if l.fault_lost {
-                        self.trace.emit(
-                            now,
-                            listener_gid,
+                        self.sink.emit(
+                            now.as_micros(),
+                            listener_gid.value(),
                             ObsEvent::FaultFrameLost {
                                 listener: listener_gid.value(),
                                 tx: tx.value(),
@@ -863,9 +861,9 @@ impl Simulation {
                     let delivered = if l.receivable {
                         match self.faults.corrupt(&frame) {
                             Some((mutated, outcome)) => {
-                                self.trace.emit(
-                                    now,
-                                    listener_gid,
+                                self.sink.emit(
+                                    now.as_micros(),
+                                    listener_gid.value(),
                                     outcome.event(listener_gid.value()),
                                 );
                                 FrameRef::new(mutated)
@@ -1110,16 +1108,25 @@ mod tests {
     fn churn_emits_down_and_up_events() {
         let topo = single_sender_topology();
         let mut sim = Simulation::new(churn_cfg(9), topo, dot11_policies(2), vec![]);
-        let trace = Trace::enabled();
-        sim.set_trace(trace.clone());
+        let sink = EventSink::enabled();
+        sim.set_sink(sink.clone());
         let _ = sim.run();
-        let faults = trace.events_in("fault");
+        let faults: Vec<ObsEvent> = sink
+            .records()
+            .into_iter()
+            .map(|r| r.event)
+            .filter(|e| e.category() == Category::Fault)
+            .collect();
         assert!(
-            faults.iter().any(|e| e.detail.contains("crashed")),
+            faults
+                .iter()
+                .any(|e| matches!(e, ObsEvent::FaultNodeDown { .. })),
             "missing node-down event in {faults:?}"
         );
         assert!(
-            faults.iter().any(|e| e.detail.contains("restarted")),
+            faults
+                .iter()
+                .any(|e| matches!(e, ObsEvent::FaultNodeUp { downtime_us } if *downtime_us > 0)),
             "missing node-up event in {faults:?}"
         );
     }

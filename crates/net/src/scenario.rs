@@ -5,7 +5,6 @@ use airguard_fault::FaultPlan;
 use airguard_mac::{AccessMode, MacConfig, Selfish};
 use airguard_obs::{EventSink, PhaseProfiler};
 use airguard_phy::{Fading, PhyConfig};
-use airguard_sim::trace::{Trace, TraceEvent};
 use airguard_sim::{MasterSeed, NodeId, SimDuration};
 use rand::RngExt;
 
@@ -419,20 +418,11 @@ impl ScenarioConfig {
         self.run_internal(budget, Some(profiler), None)
     }
 
-    /// Runs the scenario once with tracing enabled, returning the
-    /// report together with the full event trace. Two runs of the same
-    /// configuration must produce identical traces — the determinism
-    /// regression test digests this.
-    #[must_use]
-    pub fn run_traced(&self) -> (RunReport, Vec<TraceEvent>) {
-        let (report, sink) = self.run_observed();
-        (report, Trace::from_sink(sink).events())
-    }
-
     /// Runs the scenario once with typed telemetry enabled, returning
-    /// the report together with the event sink. The sink's records are
-    /// the structured counterparts of `run_traced`'s strings — export
-    /// them with `airguard_obs::records_to_jsonl`.
+    /// the report together with the event sink. Export the sink's
+    /// records with `airguard_obs::records_to_jsonl`; two runs of the
+    /// same configuration must produce byte-identical JSONL — the
+    /// determinism regression tests compare exactly that.
     #[must_use]
     pub fn run_observed(&self) -> (RunReport, EventSink) {
         self.run_observed_inner(None)
@@ -470,13 +460,8 @@ impl ScenarioConfig {
         let topology = self.build_topology();
         let misbehaving = self.misbehaving_set(&topology);
         let policies = self.policies(&topology, &misbehaving);
-        let sink = sink.or_else(|| {
-            (self.observe_mask != 0).then(|| {
-                let masked = EventSink::enabled();
-                masked.set_mask(self.observe_mask);
-                masked
-            })
-        });
+        let sink = sink
+            .or_else(|| (self.observe_mask != 0).then(|| EventSink::with_mask(self.observe_mask)));
         if self.spatial {
             let profiler = profiler.unwrap_or_default();
             let sink_mask = sink.as_ref().map_or(0, EventSink::mask);
@@ -503,7 +488,7 @@ impl ScenarioConfig {
             let mut sim =
                 Simulation::new(self.simulation_config(), topology, policies, misbehaving);
             if let Some(sink) = sink {
-                sim.set_trace(Trace::from_sink(sink));
+                sim.set_sink(sink);
             }
             if let Some(profiler) = profiler {
                 sim.set_profiler(profiler);

@@ -8,7 +8,7 @@
 //! module exploits that: it partitions the topology into connected
 //! components of the "within cutoff OR shares a flow" graph, simulates
 //! each component as an independent sub-run (with global node/flow
-//! identities preserved via [`ShardScope`], so every seed stream is the
+//! identities preserved via `ShardScope`, so every seed stream is the
 //! one the monolithic run would draw), and merges the per-component
 //! reports deterministically.
 //!
@@ -39,7 +39,6 @@ use airguard_metrics::{DelayAccount, DiagnosisTally, ThroughputAccount, TimeBinn
 use airguard_obs::pool::run_tasks;
 use airguard_obs::{EventSink, Phase, PhaseProfiler, Record, RegistrySnapshot, RunSummary};
 use airguard_phy::{interference_cutoff, TileIndex};
-use airguard_sim::trace::Trace;
 use airguard_sim::NodeId;
 
 use crate::node_policy::NodePolicy;
@@ -260,7 +259,7 @@ fn run_component(
     sim.set_profiler(profiler.clone());
     let sink = (sink_mask != 0).then(|| {
         let sink = EventSink::with_mask(sink_mask);
-        sim.set_trace(Trace::from_sink(sink.clone()));
+        sim.set_sink(sink.clone());
         sink
     });
     let report = sim.run_budgeted(budget)?;

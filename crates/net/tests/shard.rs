@@ -4,7 +4,9 @@
 //! Two separate claims, tested separately:
 //!
 //! 1. **Worker-count identity** — a sharded run's `RunSummary` JSON and
-//!    its full trace are byte-identical at 1, 2, 4, and 8 workers. The
+//!    its full event stream as JSONL (every typed field, `xid` and
+//!    window sums included) are byte-identical at 1, 2, 4, and 8
+//!    workers. The
 //!    decomposition never looks at the worker count and the merge is in
 //!    component order, so this must hold bit-for-bit.
 //! 2. **Sharded = monolithic** — the merged summary equals the summary
@@ -18,8 +20,8 @@
 use airguard_core::CorrectConfig;
 use airguard_fault::{ClockDrift, CrashEvent, FaultPlan};
 use airguard_mac::Selfish;
-use airguard_net::{NodePolicy, Protocol, ScenarioConfig, Simulation, StandardScenario};
-use airguard_sim::trace::TraceEvent;
+use airguard_net::{NodePolicy, Protocol, RunReport, ScenarioConfig, Simulation, StandardScenario};
+use airguard_obs::records_to_jsonl;
 use airguard_sim::{NodeId, SimDuration};
 
 /// A campus scenario small enough for a test, big enough to decompose:
@@ -35,34 +37,32 @@ fn campus(workers: usize) -> ScenarioConfig {
         .shard_workers(workers)
 }
 
-fn render(events: &[TraceEvent]) -> String {
-    events
-        .iter()
-        .map(|e| format!("{} {} {}\n", e.time, e.category, e.detail))
-        .collect()
+/// The run's report and its full event stream as JSONL.
+fn observed(cfg: &ScenarioConfig) -> (RunReport, String) {
+    let (report, sink) = cfg.run_observed();
+    (report, records_to_jsonl(&sink.records()))
 }
 
 #[test]
 fn summary_and_trace_are_byte_identical_across_worker_counts() {
-    let (baseline_report, baseline_trace) = campus(1).run_traced();
+    let (baseline_report, baseline_jsonl) = observed(&campus(1));
     let baseline_json = baseline_report.summary.to_json();
-    let baseline_rendered = render(&baseline_trace);
     assert!(
         baseline_report.throughput.total_bytes() > 0,
         "campus clusters must carry traffic"
     );
-    assert!(!baseline_trace.is_empty(), "traced run must capture events");
+    assert!(!baseline_jsonl.is_empty(), "traced run must capture events");
     for workers in [2, 4, 8] {
-        let (report, trace) = campus(workers).run_traced();
+        let (report, jsonl) = observed(&campus(workers));
         assert_eq!(
             report.summary.to_json(),
             baseline_json,
             "summary diverged at {workers} workers"
         );
-        assert_eq!(
-            render(&trace),
-            baseline_rendered,
-            "trace diverged at {workers} workers"
+        // Not `assert_eq!`: printing two multi-megabyte streams helps no one.
+        assert!(
+            jsonl == baseline_jsonl,
+            "JSONL diverged at {workers} workers"
         );
     }
 }

@@ -3,18 +3,18 @@
 //! Every observable protocol transition is a variant of [`ObsEvent`]
 //! carrying structured fields. Events are grouped into [`Category`]s
 //! (one bit each in the sink's enable mask) so emission can be gated
-//! per-category with a single atomic load.
+//! per-category with a single mask test.
 //!
 //! The crate is a dependency leaf, so events speak raw scalars: virtual
 //! time in microseconds (`time_us`) and node ids as dense `u32` indices
-//! (`node`). The `Display` impls render the same human-readable prose
-//! the legacy string trace produced, which keeps log-scraping tests and
-//! examples working unchanged.
+//! (`node`). The `Display` impls render one line of human-readable
+//! prose per event, which the examples print and the Perfetto export
+//! uses as slice names.
 
 use std::fmt;
 
 /// Sentinel node id for records not attributable to a single node
-/// (free-form notes, simulator-level events).
+/// (simulator-level events); JSONL export omits the `node` field.
 pub const NO_NODE: u32 = u32::MAX;
 
 /// Pack an exchange id from the originating sender and its packet
@@ -48,9 +48,8 @@ pub const fn exchange_seq(xid: u64) -> u64 {
 
 /// Event category — one bit in the sink's enable mask.
 ///
-/// `name()` returns the dotted string the legacy trace used for the
-/// same traffic (`"mac.tx"`, `"phy.decode"`, …), so category filters
-/// written against the old API keep matching.
+/// `name()` returns the dotted string (`"mac.tx"`, `"phy.decode"`, …)
+/// that JSONL export writes as the `cat` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Category {
@@ -76,9 +75,8 @@ pub enum Category {
     PhyDecode = 9,
     /// Simulator bookkeeping.
     Sim = 10,
-    /// Free-form string notes from the legacy `Trace::record` API.
-    Note = 11,
     /// Injected faults (burst loss, churn, corruption, clock drift).
+    /// Bit 11 is retired; the explicit values keep masks stable.
     Fault = 12,
     /// The live streaming service's robustness decisions (shedding,
     /// quarantine, checkpoints, source supervision).
@@ -87,7 +85,7 @@ pub enum Category {
 
 impl Category {
     /// All categories, in bit order.
-    pub const ALL: [Category; 14] = [
+    pub const ALL: [Category; 13] = [
         Category::MacTx,
         Category::MacRx,
         Category::MacBackoff,
@@ -99,7 +97,6 @@ impl Category {
         Category::PhyCollision,
         Category::PhyDecode,
         Category::Sim,
-        Category::Note,
         Category::Fault,
         Category::Live,
     ];
@@ -110,16 +107,7 @@ impl Category {
         1 << (self as u32)
     }
 
-    /// The category whose [`Category::name`] equals `name`, if any.
-    ///
-    /// The inverse of `name()`; lets config layers (e.g. a lint scope or
-    /// a CLI `--events` filter) validate dotted category strings.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Category> {
-        Category::ALL.into_iter().find(|c| c.name() == name)
-    }
-
-    /// The dotted name used by the legacy string trace.
+    /// The dotted name JSONL export writes as the `cat` field.
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
@@ -134,7 +122,6 @@ impl Category {
             Category::PhyCollision => "phy.collision",
             Category::PhyDecode => "phy.decode",
             Category::Sim => "sim",
-            Category::Note => "note",
             Category::Fault => "fault",
             Category::Live => "live",
         }
@@ -214,8 +201,6 @@ pub enum ObsEvent {
     },
     /// PHY: locked reception completed, cleanly or garbled.
     Decode { tx: u64, clean: bool },
-    /// Free-form note from the legacy `Trace::record` API.
-    Note { category: String, detail: String },
     /// Fault injector: the burst-loss channel dropped a frame that was
     /// otherwise receivable at `listener`.
     FaultFrameLost { listener: u32, tx: u64 },
@@ -287,7 +272,6 @@ impl ObsEvent {
             | ObsEvent::DiagnosisFlagged { .. } => Category::Monitor,
             ObsEvent::Collision { .. } => Category::PhyCollision,
             ObsEvent::Decode { .. } => Category::PhyDecode,
-            ObsEvent::Note { .. } => Category::Note,
             ObsEvent::FaultFrameLost { .. }
             | ObsEvent::FaultCorruptedBackoff { .. }
             | ObsEvent::FaultCorruptedAttempt { .. }
@@ -325,7 +309,6 @@ impl ObsEvent {
             ObsEvent::DiagnosisFlagged { .. } => "diagnosis_flagged",
             ObsEvent::Collision { .. } => "collision",
             ObsEvent::Decode { .. } => "decode",
-            ObsEvent::Note { .. } => "note",
             ObsEvent::FaultFrameLost { .. } => "fault_frame_lost",
             ObsEvent::FaultCorruptedBackoff { .. } => "fault_corrupted_backoff",
             ObsEvent::FaultCorruptedAttempt { .. } => "fault_corrupted_attempt",
@@ -438,7 +421,6 @@ impl fmt::Display for ObsEvent {
                 let outcome = if *clean { "Decoded" } else { "Garbled" };
                 write!(f, "tx#{tx} {outcome}")
             }
-            ObsEvent::Note { detail, .. } => f.write_str(detail),
             ObsEvent::FaultFrameLost { listener, tx } => {
                 write!(f, "fault: tx#{tx} lost in burst noise at n{listener}")
             }
@@ -520,32 +502,28 @@ mod tests {
             mask |= cat.bit();
         }
         assert_eq!(mask.count_ones() as usize, Category::ALL.len());
+        // Bit 11 is retired; the bits after it keep their mask values.
+        assert_eq!(mask & (1 << 11), 0);
+        assert_eq!(
+            (Category::Fault.bit(), Category::Live.bit()),
+            (1 << 12, 1 << 13)
+        );
     }
 
     #[test]
-    fn category_names_match_legacy_trace_strings() {
+    fn category_names_are_the_dotted_jsonl_strings() {
         assert_eq!(Category::MacTx.name(), "mac.tx");
         assert_eq!(Category::MacBackoff.name(), "mac.backoff");
         assert_eq!(Category::PhyCollision.name(), "phy.collision");
-    }
-
-    #[test]
-    fn category_names_are_unique_and_round_trip() {
-        for cat in Category::ALL {
-            assert_eq!(
-                Category::from_name(cat.name()),
-                Some(cat),
-                "{cat:?} must round-trip through its name"
-            );
-        }
-        assert_eq!(Category::from_name("no.such.category"), None);
+        let names: std::collections::BTreeSet<&str> =
+            Category::ALL.into_iter().map(Category::name).collect();
+        assert_eq!(names.len(), Category::ALL.len(), "category names collide");
     }
 
     #[test]
     fn tx_event_display_names_the_frame_kind() {
-        // tests/protocol_invariants.rs classifies mac.tx details by the
-        // first of Rts/Cts/Data they contain, else Ack; each display
-        // must therefore name exactly its own kind.
+        // Printed timelines and Perfetto slice names read each mac.tx
+        // display as its frame kind, so each must name exactly its own.
         let rts = ObsEvent::RtsTx {
             dst: 2,
             seq: 0,
@@ -594,10 +572,6 @@ mod tests {
                 assigned_slots: 10.0,
                 observed_slots: 2.0,
                 xid: 0,
-            },
-            ObsEvent::Note {
-                category: "x".into(),
-                detail: "y".into(),
             },
             ObsEvent::FaultFrameLost { listener: 2, tx: 9 },
             ObsEvent::FaultNodeDown { cold: true },

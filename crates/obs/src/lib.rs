@@ -9,10 +9,10 @@
 //!   PHY transitions carry structured fields (`assigned_slots`,
 //!   `observed_slots`, sequence numbers, …) instead of prose, so they
 //!   can be aggregated, filtered, and exported without parsing.
-//! * **A lock-free fast path** ([`EventSink`]) — emission checks a
-//!   relaxed atomic category bitmask before any allocation or lock;
-//!   when a category is disabled the cost is one atomic load. An
-//!   optional ring-buffer capacity bounds memory on long runs.
+//! * **A lock-free fast path** ([`EventSink`]) — emission tests the
+//!   handle's fixed category bitmask before any allocation or lock;
+//!   when a category is disabled the cost is one mask test. MAC, PHY
+//!   and the runner emit straight into it.
 //! * **A metrics registry** ([`Registry`], [`Counter`], [`Histogram`])
 //!   — named monotonic counters and fixed-bucket histograms,
 //!   snapshotable as deterministic `BTreeMap`s and exportable as JSON
@@ -30,7 +30,7 @@
 //!   folds back into per-exchange/per-station spans ([`SpanSet`]) and
 //!   onset→penalty→diagnosis latencies fall out in virtual time.
 //! * **Phase profiling** ([`PhaseProfiler`], [`Phase`]) — scoped wall
-//!   timers for the hot loop with the same atomic-mask zero-cost
+//!   timers for the hot loop with the same mask-test zero-cost
 //!   disabled path as [`EventSink`].
 //! * **Timeline export** ([`records_to_chrome_trace`]) — the
 //!   virtual-time stream as Chrome trace-event JSON for Perfetto.

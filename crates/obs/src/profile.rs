@@ -1,7 +1,7 @@
 //! Scoped phase timers for the simulation hot path.
 //!
 //! A [`PhaseProfiler`] accumulates wall-clock nanoseconds per
-//! [`Phase`] behind the same atomic-mask discipline as
+//! [`Phase`] behind the same mask discipline as
 //! [`crate::EventSink`]: [`PhaseProfiler::scope`] loads one relaxed
 //! atomic and, when the phase's bit is clear, returns an inert guard —
 //! no clock read, no stores, nothing on drop. The hot loop can

@@ -292,9 +292,6 @@ pub fn record_to_json(record: &Record) -> String {
         ObsEvent::Decode { tx, clean } => {
             obj.u64("tx", *tx).bool("clean", *clean);
         }
-        ObsEvent::Note { category, detail } => {
-            obj.str("note_cat", category).str("detail", detail);
-        }
         ObsEvent::FaultFrameLost { listener, tx } => {
             obj.u64("listener", u64::from(*listener)).u64("tx", *tx);
         }
@@ -408,13 +405,13 @@ mod tests {
         let line = record_to_json(&Record {
             time_us: 0,
             node: NO_NODE,
-            event: ObsEvent::Note {
-                category: "sim".into(),
-                detail: "start".into(),
+            event: ObsEvent::LiveCheckpointWritten {
+                consumed: 3,
+                stations: 2,
             },
         });
         assert!(!line.contains("\"node\""));
-        assert!(line.contains("\"note_cat\":\"sim\""));
+        assert!(line.contains("\"cat\":\"live\""));
     }
 
     #[test]

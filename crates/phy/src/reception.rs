@@ -14,7 +14,7 @@
 //! 3. *When did busy/idle edges happen?* — returned from each state
 //!    change, so the MAC can freeze and resume backoff counting.
 
-use airguard_sim::trace::{ObsEvent, Trace};
+use airguard_obs::{EventSink, ObsEvent};
 use airguard_sim::{NodeId, SimTime};
 
 use crate::medium::TransmissionId;
@@ -58,7 +58,7 @@ pub struct RxTracker {
     arrivals: Vec<Arrival>,
     locked: Option<Locked>,
     transmitting: bool,
-    trace: Trace,
+    sink: EventSink,
     node: NodeId,
 }
 
@@ -71,15 +71,15 @@ impl RxTracker {
             arrivals: Vec::new(),
             locked: None,
             transmitting: false,
-            trace: Trace::new(),
+            sink: EventSink::new(),
             node: NodeId::new(0),
         }
     }
 
-    /// Attaches a trace sink; `node` identifies this tracker's owner in
+    /// Attaches an event sink; `node` identifies this tracker's owner in
     /// the typed event stream.
-    pub fn set_trace(&mut self, trace: Trace, node: NodeId) {
-        self.trace = trace;
+    pub fn set_sink(&mut self, sink: EventSink, node: NodeId) {
+        self.sink = sink;
         self.node = node;
     }
 
@@ -117,11 +117,11 @@ impl RxTracker {
                     if locked.power - power < self.capture {
                         locked.clean = false;
                         // Typed emission: a disabled sink rejects this
-                        // with one relaxed load, and the event itself is
+                        // with one mask test, and the event itself is
                         // three plain integers — no allocation either way.
-                        self.trace.emit(
-                            now,
-                            self.node,
+                        self.sink.emit(
+                            now.as_micros(),
+                            self.node.value(),
                             ObsEvent::Collision {
                                 victim_tx: locked.id.value(),
                                 culprit_tx: Some(id.value()),
@@ -170,9 +170,9 @@ impl RxTracker {
                 };
                 // Every decoded frame passes through here: the typed
                 // event is allocation-free, so no enabled guard needed.
-                self.trace.emit(
-                    now,
-                    self.node,
+                self.sink.emit(
+                    now.as_micros(),
+                    self.node.value(),
                     ObsEvent::Decode {
                         tx: id.value(),
                         clean: locked.clean,
@@ -195,9 +195,9 @@ impl RxTracker {
         if let Some(locked) = &mut self.locked {
             if locked.clean {
                 locked.clean = false;
-                self.trace.emit(
-                    now,
-                    self.node,
+                self.sink.emit(
+                    now.as_micros(),
+                    self.node.value(),
                     ObsEvent::Collision {
                         victim_tx: locked.id.value(),
                         // No culprit transmission: the node's own

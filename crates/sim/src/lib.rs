@@ -4,7 +4,7 @@
 //! crate (PHY, MAC, scenarios, benches) runs on top of the primitives
 //! defined here.
 //!
-//! The kernel provides four things:
+//! The kernel provides three things:
 //!
 //! * **Virtual time** — [`SimTime`] and [`SimDuration`] are microsecond
 //!   resolution newtypes. Microseconds are exact for every IEEE 802.11
@@ -21,9 +21,9 @@
 //!   reproducible RNGs from one master seed, keyed by a component label and
 //!   index, so adding a new consumer of randomness never perturbs the
 //!   random sequence observed by existing components.
-//! * **Tracing** — [`trace::Trace`] is a cheap, shareable, structured event
-//!   log used by tests to assert protocol sequences and by the examples to
-//!   narrate a run.
+//!
+//! Protocol events go straight into an `airguard_obs::EventSink`, which
+//! the MAC, the PHY reception tracker and the runner each hold.
 //!
 //! # Example
 //!
@@ -50,7 +50,6 @@ mod event;
 mod ident;
 pub mod rng;
 mod time;
-pub mod trace;
 
 pub use event::{EventId, Scheduler};
 pub use ident::NodeId;

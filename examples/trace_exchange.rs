@@ -1,7 +1,7 @@
 //! Watch the protocol breathe: a traced two-node exchange.
 //!
 //! Wires up one sender and one receiver by hand (no scenario presets),
-//! attaches a trace sink, runs a quarter of a second, and prints the
+//! attaches an event sink, runs a quarter of a second, and prints the
 //! frame-by-frame timeline — RTS, CTS carrying the assigned backoff,
 //! DATA, ACK — exactly the Fig. 1 interaction of the paper.
 //!
@@ -17,7 +17,6 @@ use airguard::net::topology::Flow;
 use airguard::net::{NodePolicy, Simulation, SimulationConfig, Topology};
 use airguard::obs::{records_to_jsonl, EventSink};
 use airguard::phy::{PhyConfig, Position};
-use airguard::sim::trace::Trace;
 use airguard::sim::{MasterSeed, NodeId, SimDuration};
 
 fn main() {
@@ -51,13 +50,14 @@ fn main() {
     };
     let mut sim = Simulation::new(cfg, topology, policies, vec![]);
     let sink = EventSink::enabled();
-    let trace = Trace::from_sink(sink.clone());
-    sim.set_trace(trace.clone());
+    sim.set_sink(sink.clone());
     let report = sim.run();
+    let records = sink.records();
 
-    println!("frame-level timeline (first 30 trace events):\n");
-    for ev in trace.events().into_iter().take(30) {
-        println!("  {ev}");
+    println!("frame-level timeline (first 30 events):\n");
+    for r in records.iter().take(30) {
+        let (t, cat, node) = (r.time_us, r.event.category().name(), r.node);
+        println!("  [{t}us] {cat}: n{node}: {}", r.event);
     }
     println!(
         "\ndelivered {} packets in {} ms of virtual time",
@@ -66,7 +66,6 @@ fn main() {
     );
 
     if let Ok(path) = std::env::var("AIRGUARD_JSONL") {
-        let records = sink.records();
         std::fs::write(&path, records_to_jsonl(&records)).expect("write JSONL export");
         println!("wrote {} typed events to {path}", records.len());
         println!("run summary: {}", report.summary.to_json());

@@ -1,35 +1,24 @@
 //! Determinism regression: the same seeded scenario, run twice, must
-//! produce byte-identical event traces and identical reports.
+//! produce byte-identical event streams and identical reports.
 //!
 //! This is the runtime complement to the static rules `airguard-lint`
 //! enforces (no wall clocks, no ambient RNG, no hash-ordered iteration
 //! in simulation crates): if any nondeterminism slips past the lexical
 //! rules — an unseeded source, an order-sensitive container behind a
-//! type alias — the trace digests diverge here.
+//! type alias — the JSONL event streams diverge here.
 
 use airguard_net::{
-    BurstLoss, ClockDrift, Corruption, CrashEvent, FaultPlan, Protocol, ScenarioConfig,
+    BurstLoss, ClockDrift, Corruption, CrashEvent, FaultPlan, Protocol, RunReport, ScenarioConfig,
     StandardScenario,
 };
-use airguard_sim::trace::TraceEvent;
+use airguard_obs::records_to_jsonl;
 use airguard_sim::SimDuration;
 
-/// FNV-1a over every event's time, category, and detail.
-fn digest(events: &[TraceEvent]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for e in events {
-        eat(e.time.as_micros().to_le_bytes().as_slice());
-        eat(e.category.as_bytes());
-        eat(e.detail.as_bytes());
-        eat(b"\n");
-    }
-    h
+/// The run's report and its full event stream as JSONL: every typed
+/// field of every record (`xid`, window sums, …), not just its prose.
+fn observed(cfg: &ScenarioConfig) -> (RunReport, String) {
+    let (report, sink) = cfg.run_observed();
+    (report, records_to_jsonl(&sink.records()))
 }
 
 fn scenario(seed: u64) -> ScenarioConfig {
@@ -44,12 +33,11 @@ fn scenario(seed: u64) -> ScenarioConfig {
 #[test]
 fn same_seed_replays_to_identical_trace_digest() {
     let cfg = scenario(42);
-    let (r1, t1) = cfg.run_traced();
-    let (r2, t2) = cfg.run_traced();
+    let (r1, t1) = observed(&cfg);
+    let (r2, t2) = observed(&cfg);
 
     assert!(!t1.is_empty(), "traced run recorded no events");
-    assert_eq!(t1.len(), t2.len(), "trace lengths diverged");
-    assert_eq!(digest(&t1), digest(&t2), "trace digests diverged");
+    assert!(t1 == t2, "JSONL event streams diverged");
 
     assert_eq!(r1.events, r2.events);
     assert_eq!(r1.throughput.total_bytes(), r2.throughput.total_bytes());
@@ -183,9 +171,9 @@ fn every_fault_injector_combination_replays_byte_identically() {
 
 #[test]
 fn different_seeds_diverge() {
-    // Sanity check that the digest actually discriminates: two seeds
-    // giving identical traces would mean the seed is ignored.
-    let (_, t1) = scenario(1).run_traced();
-    let (_, t2) = scenario(2).run_traced();
-    assert_ne!(digest(&t1), digest(&t2), "seed does not influence the run");
+    // Sanity check that the comparison actually discriminates: two
+    // seeds giving identical streams would mean the seed is ignored.
+    let (_, t1) = observed(&scenario(1));
+    let (_, t2) = observed(&scenario(2));
+    assert!(t1 != t2, "seed does not influence the run");
 }

@@ -1,13 +1,13 @@
-//! Protocol-level invariants checked through the trace bus and the
-//! full simulator: frame ordering, conservation, duplicate handling,
+//! Protocol-level invariants checked through the typed event stream and
+//! the full simulator: frame ordering, conservation, duplicate handling,
 //! retry accounting.
 
 use airguard::core::CorrectConfig;
 use airguard::mac::Selfish;
 use airguard::net::topology::Flow;
 use airguard::net::{NodePolicy, Simulation, SimulationConfig, Topology};
+use airguard::obs::{EventSink, ObsEvent};
 use airguard::phy::{PhyConfig, Position};
-use airguard::sim::trace::Trace;
 use airguard::sim::{MasterSeed, NodeId, SimDuration};
 
 fn two_node_topology() -> Topology {
@@ -35,7 +35,7 @@ fn correct_policies(n: u32) -> Vec<NodePolicy> {
         .collect()
 }
 
-fn traced_run(secs: u64) -> (Trace, airguard::net::RunReport) {
+fn traced_run(secs: u64) -> (EventSink, airguard::net::RunReport) {
     let cfg = SimulationConfig {
         phy: PhyConfig::deterministic(),
         horizon: SimDuration::from_secs(secs),
@@ -43,39 +43,42 @@ fn traced_run(secs: u64) -> (Trace, airguard::net::RunReport) {
         ..SimulationConfig::default()
     };
     let mut sim = Simulation::new(cfg, two_node_topology(), correct_policies(2), vec![]);
-    let trace = Trace::enabled();
-    sim.set_trace(trace.clone());
+    let sink = EventSink::enabled();
+    sim.set_sink(sink.clone());
     let report = sim.run();
-    (trace, report)
+    (sink, report)
+}
+
+/// The frame kind of every transmission start, in emission order.
+fn tx_frames(sink: &EventSink) -> Vec<&'static str> {
+    sink.records()
+        .iter()
+        .filter_map(|r| match r.event {
+            ObsEvent::RtsTx { .. } => Some("Rts"),
+            ObsEvent::CtsTx { .. } => Some("Cts"),
+            ObsEvent::DataTx { .. } => Some("Data"),
+            ObsEvent::AckTx { .. } => Some("Ack"),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
 fn exchange_order_is_rts_cts_data_ack() {
-    let (trace, _) = traced_run(1);
-    // Reconstruct the global frame order from the trace and verify each
-    // sender exchange appears in canonical sequence.
+    let (sink, _) = traced_run(1);
+    // Reconstruct the global frame order from the typed records and
+    // verify each sender exchange appears in canonical sequence.
+    let frames = tx_frames(&sink);
+    assert!(!frames.is_empty(), "no transmissions recorded");
     let mut last = "Ack";
-    for ev in trace.events_in("mac.tx") {
-        let kind = if ev.detail.contains("Rts") {
-            "Rts"
-        } else if ev.detail.contains("Cts") {
-            "Cts"
-        } else if ev.detail.contains("Data") {
-            "Data"
-        } else {
-            "Ack"
-        };
+    for (i, kind) in frames.into_iter().enumerate() {
         let expected_prev = match kind {
             "Rts" => "Ack",
             "Cts" => "Rts",
             "Data" => "Cts",
             _ => "Data",
         };
-        assert_eq!(
-            last, expected_prev,
-            "frame {kind} followed {last}: {}",
-            ev.detail
-        );
+        assert_eq!(last, expected_prev, "frame #{i} {kind} followed {last}");
         last = kind;
     }
     // The horizon may cut the final exchange anywhere, so no assertion on
@@ -107,12 +110,8 @@ fn clean_channel_never_times_out() {
 
 #[test]
 fn rts_count_matches_exchange_count_on_clean_channel() {
-    let (trace, report) = traced_run(1);
-    let rts: usize = trace
-        .events_in("mac.tx")
-        .iter()
-        .filter(|e| e.detail.contains("Rts"))
-        .count();
+    let (sink, report) = traced_run(1);
+    let rts = tx_frames(&sink).iter().filter(|&&k| k == "Rts").count();
     let delivered = report
         .throughput
         .flow(NodeId::new(1), NodeId::new(0))
