@@ -52,12 +52,6 @@ usage: airguard-bench [--figure NAME]... [options]
 
 options:
   --figure NAME    run one registered figure (repeatable; default: all)
-                   NAME `hotpath` runs the perf harness instead
-                   (events/sec trajectory -> BENCH_hotpath.json)
-                   NAME `scale` runs the spatial-sharding harness
-                   (campus scaling + worker identity -> BENCH_shard.json)
-                   NAME `live_replay` runs the streaming-service harness
-                   (replay throughput + p99 latency -> BENCH_live.json)
   --list           list registered figures and exit
   --seeds N        seed-set size (default 30, or AIRGUARD_SEEDS)
   --secs N         simulated seconds per run (default 50, or AIRGUARD_SECS)
@@ -65,9 +59,9 @@ options:
   --detector KIND  restrict the detector_duel figure to one deviation
                    detector: window, cusum, or cw (default: all three,
                    or AIRGUARD_DETECTOR); other figures are unaffected
-  --shard-workers N  intra-run shard workers for spatial scenarios and
-                   the `scale` harness (default 1, or
-                   AIRGUARD_SHARD_WORKERS); never changes results
+  --shard-workers N  intra-run shard workers for spatial scenarios
+                   (default 1, or AIRGUARD_SHARD_WORKERS); never
+                   changes results
   --jsonl          write results/<name>.report.jsonl telemetry
   --no-cache       ignore and do not update results/cache
   --cache-dir DIR  result cache location (default results/cache)
@@ -102,8 +96,8 @@ pub struct Cli {
     pub secs: u64,
     /// Worker threads; 0 means one per core.
     pub workers: usize,
-    /// Intra-run shard workers for spatial scenarios and the `scale`
-    /// harness. Determinism contract: can never change a result byte.
+    /// Intra-run shard workers for spatial scenarios. Determinism
+    /// contract: can never change a result byte.
     pub shard_workers: usize,
     /// Validated detector kind restricting the `detector_duel` grid
     /// (`window`/`cusum`/`cw`); `None` runs all three.
@@ -143,7 +137,7 @@ fn parse_nonnegative(source: &str, value: &str) -> Result<u64, String> {
 
 /// Reads `name` from the environment; unset is `None`, malformed is an
 /// error (never a silent default).
-pub(crate) fn env_positive(name: &str) -> Result<Option<u64>, String> {
+fn env_positive(name: &str) -> Result<Option<u64>, String> {
     match std::env::var(name) {
         Ok(v) => parse_positive(name, &v).map(Some),
         Err(std::env::VarError::NotPresent) => Ok(None),
@@ -315,25 +309,8 @@ pub fn run(cli: &Cli) -> i32 {
                 e.title
             ));
         }
-        out(&format!(
-            "{:<20} perf harness  events/sec trajectory -> {}",
-            "hotpath",
-            crate::hotpath::REPORT_PATH
-        ));
-        out(&format!(
-            "{:<20} perf harness  spatial-sharding scaling -> {}",
-            "scale",
-            crate::scale::REPORT_PATH
-        ));
-        out(&format!(
-            "{:<20} perf harness  streaming-service replay -> {}",
-            "live_replay",
-            crate::live_replay::REPORT_PATH
-        ));
         return 0;
     }
-    // The perf harness is not a sweep: run it directly, keep any other
-    // selected figures flowing through the engine below.
     let mut exit = 0;
     if let Some(path) = &cli.trace_out {
         match write_trace(path, cli.secs) {
@@ -352,59 +329,7 @@ pub fn run(cli: &Cli) -> i32 {
             return exit;
         }
     }
-    let mut figures: Vec<String> = cli.figures.clone();
-    if let Some(at) = figures.iter().position(|f| f == "hotpath") {
-        figures.remove(at);
-        match crate::hotpath::run(cli.seeds, cli.secs, cli.workers) {
-            Ok(lines) => {
-                for line in &lines {
-                    out(line);
-                }
-            }
-            Err(msg) => {
-                err(&format!("airguard-bench: {msg}"));
-                exit = 1;
-            }
-        }
-        if figures.is_empty() {
-            return exit;
-        }
-    }
-    if let Some(at) = figures.iter().position(|f| f == "scale") {
-        figures.remove(at);
-        match crate::scale::run(cli.secs, cli.shard_workers) {
-            Ok(lines) => {
-                for line in &lines {
-                    out(line);
-                }
-            }
-            Err(msg) => {
-                err(&format!("airguard-bench: {msg}"));
-                exit = 1;
-            }
-        }
-        if figures.is_empty() {
-            return exit;
-        }
-    }
-    if let Some(at) = figures.iter().position(|f| f == "live_replay") {
-        figures.remove(at);
-        match crate::live_replay::run(cli.shard_workers) {
-            Ok(lines) => {
-                for line in &lines {
-                    out(line);
-                }
-            }
-            Err(msg) => {
-                err(&format!("airguard-bench: {msg}"));
-                exit = 1;
-            }
-        }
-        if figures.is_empty() {
-            return exit;
-        }
-    }
-    let mut exps = match select(&figures) {
+    let mut exps = match select(&cli.figures) {
         Ok(exps) => exps,
         Err(msg) => {
             err(&format!("airguard-bench: {msg}"));

@@ -28,9 +28,11 @@ const PMS: [f64; 3] = [0.0, 50.0, 90.0];
 
 /// The composite fault plan at one intensity. All four injectors scale
 /// together; at zero everything is a no-op and the plan normalizes
-/// away entirely. Shared with the `detection_latency` grid so both
-/// figures probe the same chaos operating points.
-pub(crate) fn plan(intensity: u16) -> FaultPlan {
+/// away entirely. Shared with the `detection_latency` and
+/// `detector_duel` grids so every figure probes the same chaos
+/// operating points, and with the golden-digest suite that pins them.
+#[must_use]
+pub fn plan(intensity: u16) -> FaultPlan {
     let f = f64::from(intensity) / 100.0;
     let churn = if intensity == 0 {
         Vec::new()

@@ -19,9 +19,6 @@
 
 pub mod cli;
 pub mod figures;
-pub mod hotpath;
-pub mod live_replay;
-pub mod scale;
 
 pub use airguard_exp::{f2, kbps, run_seeds, write_report_jsonl, Table};
 use airguard_net::RunReport;

@@ -73,10 +73,9 @@ pub enum Category {
     PhyCollision = 8,
     /// PHY decode outcomes.
     PhyDecode = 9,
-    /// Simulator bookkeeping.
-    Sim = 10,
     /// Injected faults (burst loss, churn, corruption, clock drift).
-    /// Bit 11 is retired; the explicit values keep masks stable.
+    /// Bits 10 and 11 are retired; the explicit values keep masks
+    /// stable.
     Fault = 12,
     /// The live streaming service's robustness decisions (shedding,
     /// quarantine, checkpoints, source supervision).
@@ -85,7 +84,7 @@ pub enum Category {
 
 impl Category {
     /// All categories, in bit order.
-    pub const ALL: [Category; 13] = [
+    pub const ALL: [Category; 12] = [
         Category::MacTx,
         Category::MacRx,
         Category::MacBackoff,
@@ -96,7 +95,6 @@ impl Category {
         Category::Monitor,
         Category::PhyCollision,
         Category::PhyDecode,
-        Category::Sim,
         Category::Fault,
         Category::Live,
     ];
@@ -121,7 +119,6 @@ impl Category {
             Category::Monitor => "monitor",
             Category::PhyCollision => "phy.collision",
             Category::PhyDecode => "phy.decode",
-            Category::Sim => "sim",
             Category::Fault => "fault",
             Category::Live => "live",
         }
@@ -502,7 +499,9 @@ mod tests {
             mask |= cat.bit();
         }
         assert_eq!(mask.count_ones() as usize, Category::ALL.len());
-        // Bit 11 is retired; the bits after it keep their mask values.
+        // Bits 10 and 11 are retired; the bits after them keep their
+        // mask values.
+        assert_eq!(mask & (1 << 10), 0);
         assert_eq!(mask & (1 << 11), 0);
         assert_eq!(
             (Category::Fault.bit(), Category::Live.bit()),

@@ -6,8 +6,9 @@
 //! atomic and, when the phase's bit is clear, returns an inert guard —
 //! no clock read, no stores, nothing on drop. The hot loop can
 //! therefore keep its guards in place permanently and pay only one
-//! load per phase per event when profiling is off (BENCH_hotpath.json
-//! gates the budget at ≤ 3%).
+//! load per phase per event when profiling is off (an A/B with the
+//! scopes deleted measured the cost within 3%). airbench's traced pass
+//! reports what an *enabled* scope costs.
 //!
 //! Wall-clock time never enters any deterministic export: profiler
 //! output goes to stderr reports and diagnostics only (DESIGN.md §9).

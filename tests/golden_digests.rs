@@ -11,62 +11,14 @@
 //! here as a digest mismatch, with the full actual table printed for
 //! comparison.
 
-use airguard_net::{
-    BurstLoss, ClockDrift, Corruption, CrashEvent, FaultPlan, Protocol, ScenarioConfig,
-    StandardScenario,
-};
-use airguard_sim::SimDuration;
+use airguard_bench::figures::chaos::plan;
+use airguard_net::{Protocol, ScenarioConfig, StandardScenario};
+use airguard_obs::fnv1a;
 
 const SEEDS: [u64; 4] = [1, 2, 3, 4];
 
-/// FNV-1a over the summary JSON bytes.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Mirrors `chaos::plan` in airguard-bench: the composite all-injector
-/// plan at one intensity (the two must stay in sync so this guards the
-/// exact cells the chaos figure runs).
-fn chaos_plan(intensity: u16) -> FaultPlan {
-    let f = f64::from(intensity) / 100.0;
-    let churn = if intensity == 0 {
-        Vec::new()
-    } else {
-        vec![CrashEvent {
-            node: 1,
-            at: SimDuration::from_secs(1),
-            down_for: SimDuration::from_micros(u64::from(intensity) * 20_000),
-            preserve_monitor: intensity < 100,
-        }]
-    };
-    FaultPlan {
-        burst_loss: Some(BurstLoss {
-            p_enter: 0.02 * f,
-            p_exit: 0.25,
-            loss_good: 0.005 * f,
-            loss_bad: 0.4 * f,
-        }),
-        churn,
-        corruption: Some(Corruption {
-            backoff_prob: 0.03 * f,
-            backoff_max_delta: 8,
-            attempt_prob: 0.03 * f,
-            attempt_max_delta: 2,
-        }),
-        clock_drift: Some(ClockDrift {
-            per_mille: i32::from(intensity) / 5,
-            nodes: Vec::new(),
-        }),
-    }
-}
-
 fn digest_of(cfg: &ScenarioConfig) -> u64 {
-    fnv(cfg.run().summary.to_json().as_bytes())
+    fnv1a(cfg.run().summary.to_json().as_bytes())
 }
 
 /// Runs every (label, cfg) cell across the seed set and asserts the
@@ -129,7 +81,7 @@ fn chaos_grid_summaries_match_pre_refactor_golden_digests() {
                 .protocol(Protocol::Correct)
                 .misbehavior_percent(pm)
                 .sim_time_secs(2)
-                .fault(chaos_plan(intensity))
+                .fault(plan(intensity))
                 .expect("chaos plan targets node 1 of the standard topology");
             cells.push((format!("chaos/f{intensity}/pm{pm:.0}"), cfg));
         }
